@@ -10,6 +10,11 @@ backend divergence beyond tolerance fails the run.
 
 Schema history
 --------------
+* v8: the ``interleaved_vs_binned`` block (v4) is gone: the LU kernel
+  behind every NumPy backend now sweeps the interleaved layout, so
+  there is no second layout to time.  The ``threads`` and
+  ``interleaved`` backends are gone from ``meta.backends`` and the
+  per-case entries.
 * v7: top-level ``obs`` block
   (:func:`repro.bench.serving_load.run_slo_bench`): the SLO burn-rate
   / flight-recorder bench - alert counts from the scripted
@@ -70,7 +75,7 @@ __all__ = ["run_backend_sweep", "format_sweep_summary"]
 
 #: version of the BENCH_runtime.json document layout; bump on any
 #: structural change so downstream comparisons can gate on it
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 SCHEMA_NAME = "repro.bench.runtime_sweep"
 
 
@@ -97,7 +102,7 @@ def _git_sha() -> str | None:
 REFERENCE = "numpy"
 
 #: default agreement tolerance on well-conditioned batches (float64);
-#: binned/threads are bitwise vs numpy, scipy differs by rounding only
+#: binned is bitwise vs numpy, scipy differs by rounding only
 CHECK_TOL = 1e-9
 
 _QUICK_SIZES = (4, 8, 16, 32)
@@ -158,52 +163,6 @@ def _time_apply_modes(
             t_factor / t_inverse if t_inverse > 0.0 else float("inf")
         ),
     }
-
-
-#: uniform tiles of the interleaved-vs-binned layout comparison - one
-#: row per size bin of the default planner
-_LAYOUT_TILES = (4, 8, 16, 32)
-
-#: best-of repeats of each layout factorize timing
-_LAYOUT_REPEATS = 3
-
-
-def _time_layouts(quick: bool, seed: int) -> list[dict]:
-    """Per-tile factorize seconds: binned (AoS) vs interleaved (SoA).
-
-    Uniform batches, one per planner size bin, so each row times
-    exactly one bin's sweep in each layout; ``speedup`` > 1 means the
-    interleaved layout won that tile on this host.
-    """
-    nb = 128 if quick else 1024
-    rows = []
-    for tile in _LAYOUT_TILES:
-        batch = random_batch(
-            nb, size=tile, kind="diag_dominant", seed=seed + tile
-        )
-        seconds = {}
-        for name in ("binned", "interleaved"):
-            rt = BatchRuntime(backend=name, cache=False)
-            best = float("inf")
-            for _ in range(_LAYOUT_REPEATS):
-                t0 = time.perf_counter()
-                rt.factorize(batch, method="lu", use_cache=False)
-                best = min(best, time.perf_counter() - t0)
-            seconds[name] = best
-        rows.append(
-            {
-                "tile": tile,
-                "nb": nb,
-                "binned_seconds": seconds["binned"],
-                "interleaved_seconds": seconds["interleaved"],
-                "speedup": (
-                    seconds["binned"] / seconds["interleaved"]
-                    if seconds["interleaved"] > 0.0
-                    else float("inf")
-                ),
-            }
-        )
-    return rows
 
 
 def _time_backend(
@@ -382,7 +341,6 @@ def run_backend_sweep(
                 "git_sha": _git_sha(),
             },
             "cases": cases,
-            "interleaved_vs_binned": _time_layouts(quick, seed),
             "serving": serving,
             "overload": overload,
             "obs": obs,
@@ -427,22 +385,6 @@ def format_sweep_summary(report: dict) -> str:
             f"[{status}, max divergence {report['max_discrepancy']:.2e}]"
         ),
     )
-    layout = report.get("interleaved_vs_binned")
-    if layout:
-        out += "\n\n" + format_table(
-            ["tile", "nb", "binned ms", "interleaved ms", "speedup"],
-            [
-                [
-                    r["tile"],
-                    r["nb"],
-                    f"{r['binned_seconds'] * 1e3:.2f}",
-                    f"{r['interleaved_seconds'] * 1e3:.2f}",
-                    f"{r['speedup']:.2f}",
-                ]
-                for r in layout
-            ],
-            title="interleaved (SoA) vs binned (AoS) factorize",
-        )
     serving = report.get("serving")
     if serving:
         from .serving_load import format_serving_summary

@@ -418,13 +418,13 @@ def run_chaos_suite(seed: int = 0, quick: bool = True) -> ChaosReport:
     report.scenarios.append(res)
 
     # 9. faults inside the interleaved sweeps: NaN corruption of the
-    # SoA factor bins must be caught by the spot check and the damaged
+    # binned backend's SoA factor bins must be caught by the spot check and the damaged
     # bins quarantined onto the reference ``numpy`` backend - and the
     # merged source-ordered ``info`` must stay bit-identical to a
     # fault-free run (integer status is never allowed to drift, however
     # the bins were re-executed)
     chaos9 = ChaosBackend(
-        get_backend("interleaved"),
+        get_backend("binned"),
         [CorruptBinsInjector(rate=1.0, mode="nan", max_bins=2)],
         seed=seed,
     )
@@ -443,7 +443,7 @@ def run_chaos_suite(seed: int = 0, quick: bool = True) -> ChaosReport:
     if res.passed:
         # bit-identical merged info: a probe batch with two genuinely
         # singular blocks, factorized under identity degradation
-        # through the fault-injected interleaved backend, must report
+        # through the fault-injected binned backend, must report
         # the exact integer status of the clean reference
         from ..core.random_batches import random_batch
 
@@ -457,7 +457,7 @@ def run_chaos_suite(seed: int = 0, quick: bool = True) -> ChaosReport:
             probe, on_singular="identity"
         )
         chaos9b = ChaosBackend(
-            get_backend("interleaved"),
+            get_backend("binned"),
             [CorruptBinsInjector(rate=1.0, mode="nan", max_bins=2)],
             seed=seed,
         )

@@ -16,7 +16,7 @@ Gives downstream users the paper's workflows without writing code:
     backward-error metrology, adversarial batches, SIMT replay) and
     exit nonzero on any violation.
 ``python -m repro bench --quick``
-    Sweep the runtime backends (numpy/binned/scipy/threads) over the
+    Sweep the runtime backends (numpy/binned/scipy) over the
     SIZE/BATCH axes, cross-check them against each other, and write
     ``BENCH_runtime.json``; exits nonzero on backend divergence.
 ``python -m repro solve fem_b4_s0 --trace out.trace.json --metrics``
@@ -451,8 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="what to do with singular diagonal blocks "
                     "(default: raise)")
     pv.add_argument("--backend", default=None,
-                    choices=["numpy", "binned", "interleaved", "scipy",
-                             "threads"],
+                    choices=["numpy", "binned", "scipy"],
                     help="route the batched setup/apply through the "
                     "repro.runtime executor backend (default: direct "
                     "kernel path)")
@@ -593,8 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     pto.add_argument("--solves", type=int, default=4,
                      help="batched solves per factorization")
     pto.add_argument("--backend", default="binned",
-                     choices=["numpy", "binned", "interleaved", "scipy",
-                              "threads"])
+                     choices=["numpy", "binned", "scipy"])
     pto.set_defaults(fn=_cmd_telemetry_overhead)
     return p
 

@@ -21,11 +21,10 @@ Public surface:
 * :func:`~repro.core.batched_cholesky.cholesky_factor` /
   :func:`~repro.core.batched_cholesky.cholesky_solve` - the SPD variant
   (the paper's stated future work).
-* :func:`~repro.core.interleaved.aos_to_soa` /
-  :func:`~repro.core.interleaved.soa_to_aos` and the
-  ``interleaved_*`` kernels - the structure-of-arrays realisation of
-  the LU/TRSV/Gauss-Huard sweeps (contiguous per-step access across
-  the batch).
+* :func:`~repro.core.batch.aos_to_soa` /
+  :func:`~repro.core.batch.soa_to_aos` - the transforms to and from
+  the interleaved ``(tile, tile, nb)`` layout the LU/TRSV/Gauss-Huard
+  sweeps run on (contiguous per-step access across the batch).
 """
 
 from .batch import (
@@ -33,7 +32,9 @@ from .batch import (
     MAX_TILE,
     BatchedMatrices,
     BatchedVectors,
+    aos_to_soa,
     round_up_tile,
+    soa_to_aos,
 )
 from .batched_cholesky import CholeskyFactors, cholesky_factor, cholesky_solve
 from .degradation import (
@@ -52,16 +53,6 @@ from .explicit_inverse import (
     invert_factors,
 )
 from .batched_trsv import lower_unit_solve, lu_solve, upper_solve
-from .interleaved import (
-    InterleavedGHFactors,
-    InterleavedLUFactors,
-    aos_to_soa,
-    interleaved_gh_factor,
-    interleaved_gh_solve,
-    interleaved_lu_factor,
-    interleaved_lu_solve,
-    soa_to_aos,
-)
 from .random_batches import random_batch, random_rhs
 from .validation import (
     factorization_errors,
@@ -99,14 +90,8 @@ __all__ = [
     "CholeskyFactors",
     "cholesky_factor",
     "cholesky_solve",
-    "InterleavedLUFactors",
-    "InterleavedGHFactors",
     "aos_to_soa",
     "soa_to_aos",
-    "interleaved_lu_factor",
-    "interleaved_lu_solve",
-    "interleaved_gh_factor",
-    "interleaved_gh_solve",
     "random_batch",
     "random_rhs",
     "factorization_errors",

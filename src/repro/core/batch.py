@@ -25,6 +25,15 @@ Zero-copy discipline
 Following the HPC-Python guidance used for this project, the containers
 hand out *views*, never copies, unless a copy is explicitly requested,
 and all mutating kernels work in place on the ``data`` array.
+
+Interleaved kernel layout
+-------------------------
+The LU, TRSV and Gauss-Huard kernels sweep an *interleaved*
+(structure-of-arrays) copy of the batch, ``(tile, tile, nb)``: element
+``(r, c)`` of all ``nb`` matrices sits contiguously, so every per-step
+update touches unit-stride length-``nb`` vectors (Gloster et al.,
+*Efficient Interleaved Batch Matrix Solvers for CUDA*, PAPERS.md).
+:func:`aos_to_soa` / :func:`soa_to_aos` convert between the two.
 """
 
 from __future__ import annotations
@@ -38,7 +47,9 @@ __all__ = [
     "MAX_TILE",
     "BatchedMatrices",
     "BatchedVectors",
+    "aos_to_soa",
     "round_up_tile",
+    "soa_to_aos",
 ]
 
 #: Largest supported register tile; mirrors the CUDA warp width used by the
@@ -472,3 +483,58 @@ class BatchedVectors:
             f"BatchedVectors(nb={self.nb}, tile={self.tile}, "
             f"dtype={self.dtype.name})"
         )
+
+
+# -- interleaved (SoA) layout transforms -------------------------------------
+
+
+def aos_to_soa(data: np.ndarray) -> np.ndarray:
+    """AoS -> SoA: move the batch axis last, C-contiguously.
+
+    ``(nb, tile, tile)`` matrices become ``(tile, tile, nb)`` and
+    ``(nb, tile)`` vectors become ``(tile, nb)``.  A pure relabelling of
+    storage: every element is copied bit-for-bit (NaN payloads
+    included), so ``soa_to_aos(aos_to_soa(x))`` reproduces ``x``
+    exactly.  Always a fresh array - degenerate shapes (``nb == 1``,
+    ``tile == 1``) make the transposed *view* C-contiguous already, so
+    a bare ``ascontiguousarray`` would alias the input and in-place
+    kernels would destroy it.
+    """
+    if data.ndim == 3:
+        return data.transpose(1, 2, 0).copy()
+    if data.ndim == 2:
+        return data.T.copy()
+    raise ValueError(
+        f"expected a (nb, tile, tile) or (nb, tile) array, "
+        f"got shape {data.shape}"
+    )
+
+
+def soa_to_aos(data: np.ndarray) -> np.ndarray:
+    """SoA -> AoS: move the batch axis first, C-contiguously.
+
+    Exact inverse of :func:`aos_to_soa` (bit-for-bit round trip, always
+    a fresh array).
+    """
+    if data.ndim == 3:
+        return data.transpose(2, 0, 1).copy()
+    if data.ndim == 2:
+        return data.T.copy()
+    raise ValueError(
+        f"expected a (tile, tile, nb) or (tile, nb) array, "
+        f"got shape {data.shape}"
+    )
+
+
+def store_soa(data: np.ndarray, soa: np.ndarray) -> np.ndarray:
+    """Move an SoA kernel result into the AoS buffer it was computed from.
+
+    ``data`` is a C-contiguous ``(nb, tile, tile)`` input the caller
+    allowed the kernel to destroy (``overwrite=True``); its buffer is
+    reinterpreted as ``(tile, tile, nb)``, receives ``soa``, and is
+    returned, so the factors live in the caller's scratch instead of a
+    second allocation.
+    """
+    dest = data.reshape(soa.shape)
+    dest[...] = soa
+    return dest

@@ -35,6 +35,10 @@ the GPU) at the price of strided writes during the factorization.  Both
 layouts are bit-identical in exact arithmetic and in this NumPy
 realisation; they differ only in the memory-access pattern, which the
 performance model charges for.
+
+Factorization and solve sweep the interleaved ``(tile, tile, nb)``
+layout (see :mod:`repro.core.batch`), so every stage touches
+contiguous length-``nb`` vectors.
 """
 
 from __future__ import annotations
@@ -43,7 +47,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import BatchedMatrices, BatchedVectors
+from .batch import (
+    BatchedMatrices,
+    BatchedVectors,
+    aos_to_soa,
+    soa_to_aos,
+    store_soa,
+)
 from .degradation import (
     DegradationRecord,
     OnSingular,
@@ -60,17 +70,21 @@ class GHFactors:
 
     Attributes
     ----------
-    factors:
-        Batch in GH storage: lower = lazy multipliers, diagonal =
-        pivots, upper = upward-elimination multipliers.  When
-        ``transposed`` is True the array physically holds the transpose
-        of that matrix (the GH-T layout).
+    soa:
+        Interleaved ``(tile, tile, nb)`` storage of the GH matrix
+        (``soa[r, c, b]`` is element ``(r, c)`` of block ``b``): lower =
+        lazy multipliers, diagonal = pivots, upper = upward-elimination
+        multipliers.  When ``transposed`` is True it physically holds
+        the transpose of that matrix (the GH-T layout).
     colperm:
         Gather permutation over columns: position ``k`` of the factored
         matrix corresponds to original column ``colperm[b, k]``, so the
         computed intermediate ``z`` satisfies ``x[colperm[k]] = z[k]``.
     info:
-        0 on success, ``k+1`` if the pivot of stage ``k`` was zero.
+        0 on success, ``k+1`` if the pivot of stage ``k`` was zero or
+        non-finite.
+    sizes:
+        Active size of every block.
     transposed:
         True for the Gauss-Huard-T storage layout.
     degradation:
@@ -78,23 +92,27 @@ class GHFactors:
         called with an ``on_singular`` policy; None otherwise.
     """
 
-    factors: BatchedMatrices
+    soa: np.ndarray
     colperm: np.ndarray
     info: np.ndarray
+    sizes: np.ndarray
     transposed: bool = False
     degradation: DegradationRecord | None = None
 
     @property
+    def factors(self) -> BatchedMatrices:
+        """The factors as an AoS ``(nb, tile, tile)`` batch (GH or GH-T
+        layout), built from :attr:`soa` on every access and never
+        cached."""
+        return BatchedMatrices(soa_to_aos(self.soa), self.sizes.copy())
+
+    @property
     def nb(self) -> int:
-        return self.factors.nb
+        return self.soa.shape[2]
 
     @property
     def tile(self) -> int:
-        return self.factors.tile
-
-    @property
-    def sizes(self) -> np.ndarray:
-        return self.factors.sizes
+        return self.soa.shape[0]
 
     @property
     def ok(self) -> bool:
@@ -116,24 +134,23 @@ def gh_factor(
     transposed:
         Store the factors in the GH-T (transpose-friendly) layout.
     overwrite:
-        Destroy the input batch storage (snapshotted first when the
-        ``"scalar"``/``"shift"`` policies need the original blocks).
+        Destroy the input batch storage: the finished factors are moved
+        into it and hold no memory beyond the caller's buffer.
     on_singular:
         None keeps the flag-and-continue behaviour; a policy name
         delegates singular blocks to the shared substitution engine
         (see :func:`repro.core.batched_lu.lu_factor`).
     """
-    originals = None
-    if on_singular in ("scalar", "shift"):
-        originals = batch.data.copy() if overwrite else batch.data
-    A = batch.data if overwrite else batch.data.copy()
-    A, colperm, info = _gh_core(A)
+    sizes = batch.sizes.copy()
+    S = aos_to_soa(batch.data)
+    colperm, info = _gh_core(S)
     record = None
     if on_singular is not None:
 
         def refactor(cand: np.ndarray, idx: np.ndarray) -> np.ndarray:
-            sub_A, sub_colperm, sub_info = _gh_core(cand)
-            A[idx] = sub_A
+            sub = aos_to_soa(cand)
+            sub_colperm, sub_info = _gh_core(sub)
+            S[:, :, idx] = sub
             colperm[idx] = sub_colperm
             return sub_info
 
@@ -141,72 +158,75 @@ def gh_factor(
             on_singular,
             info,
             refactor,
-            originals,
-            batch.sizes,
-            A.shape[1],
-            A.dtype,
+            batch.data,
+            sizes,
+            S.shape[0],
+            S.dtype,
             kernel="batched Gauss-Huard",
         )
     if transposed:
         # GH-T: pay strided writes once here so the solve can stream the
         # factors with unit stride.
-        A = np.ascontiguousarray(A.transpose(0, 2, 1))
+        S = S.transpose(1, 0, 2)
+    S = store_soa(batch.data, S) if overwrite else np.ascontiguousarray(S)
     return GHFactors(
-        factors=BatchedMatrices(A, batch.sizes.copy()),
+        soa=S,
         colperm=colperm,
         info=info,
+        sizes=sizes,
         transposed=transposed,
         degradation=record,
     )
 
 
-def _gh_core(A: np.ndarray):
-    """In-place Gauss-Huard loop over one ``(nb, tile, tile)`` batch."""
-    nb, tile, _ = A.shape
+def _gh_core(S: np.ndarray):
+    """In-place Gauss-Huard loop over one interleaved ``(tile, tile,
+    nb)`` batch; returns ``(colperm, info)``."""
+    tile, _, nb = S.shape
     barange = np.arange(nb)
     colperm = identity_perms(nb, tile)
     info = np.zeros(nb, dtype=np.int64)
     for k in range(tile):
         # 1. lazy row update (DOT/GEMV with the rows above).
         if k:
-            A[:, k, k:] -= np.einsum(
-                "bj,bjc->bc", A[:, k, :k], A[:, :k, k:]
+            S[k, k:, :] -= np.einsum(
+                "jb,jcb->cb", S[k, :k, :], S[:k, k:, :]
             )
         # 2. column pivot among positions k..tile-1 of row k.  Ties
         #    break to the lowest column index, so padding columns (which
         #    hold exact zeros in active rows) are never preferred.
-        row = np.abs(A[:, k, :])
-        row[:, :k] = -1.0
+        row = np.abs(S[k, :, :])
+        row[:k, :] = -1.0
         # argmax treats NaN as maximal: map NaN candidates to +inf so
         # the lowest contaminated column wins and is flagged as
         # singular below instead of being selected silently.
         np.copyto(row, np.inf, where=np.isnan(row))
-        jpiv = row.argmax(axis=1)
+        jpiv = row.argmax(axis=0)
         # exchange columns k <-> jpiv and the permutation record
         swap = jpiv != k
         if swap.any():
-            ck = A[:, :, k].copy()
-            cj = A[barange, :, jpiv].copy()
-            A[:, :, k] = np.where(swap[:, None], cj, ck)
-            A[barange, :, jpiv] = np.where(swap[:, None], ck, cj)
+            ck = S[:, k, :].copy()
+            cj = S[:, jpiv, barange].copy()
+            S[:, k, :] = np.where(swap[None, :], cj, ck)
+            S[:, jpiv, barange] = np.where(swap[None, :], ck, cj)
             pk = colperm[barange, k].copy()
             pj = colperm[barange, jpiv].copy()
             colperm[barange, k] = np.where(swap, pj, pk)
             colperm[barange, jpiv] = np.where(swap, pk, pj)
-        pivot = A[:, k, k]
+        pivot = S[k, k, :]
         singular = (pivot == 0) | ~np.isfinite(pivot)
         np.copyto(info, k + 1, where=(info == 0) & singular)
         inv_pivot = np.ones_like(pivot)
         np.divide(1.0, pivot, out=inv_pivot, where=~singular)
         # 3. scale the remainder of row k.
         if k + 1 < tile:
-            A[:, k, k + 1 :] *= inv_pivot[:, None]
+            S[k, k + 1 :, :] *= inv_pivot[None, :]
             # 4. eager upward elimination of the rows above.
             if k:
-                A[:, :k, k + 1 :] -= (
-                    A[:, :k, k, None] * A[:, None, k, k + 1 :]
+                S[:k, k + 1 :, :] -= (
+                    S[:k, k, None, :] * S[None, k, k + 1 :, :]
                 )
-    return A, colperm, info
+    return colperm, info
 
 
 def gh_solve(fac: GHFactors, rhs: BatchedVectors) -> BatchedVectors:
@@ -226,26 +246,26 @@ def gh_solve(fac: GHFactors, rhs: BatchedVectors) -> BatchedVectors:
         )
     if fac.nb != rhs.nb or fac.tile != rhs.tile:
         raise ValueError("factor/right-hand-side batch mismatch")
-    A = fac.factors.data
-    b = rhs.data.copy()
-    nb, tile = b.shape
+    S = fac.soa
+    b = aos_to_soa(rhs.data)  # (tile, nb)
+    tile, nb = b.shape
     barange = np.arange(nb)
 
     if not fac.transposed:
-        row = lambda k: A[:, k, :]  # noqa: E731 - local accessors keep the
-        col = lambda k: A[:, :, k]  # noqa: E731   loop body layout-agnostic
+        row = lambda k: S[k]  # noqa: E731 - local accessors keep the
+        col = lambda k: S[:, k, :]  # noqa: E731   loop body layout-agnostic
     else:
-        row = lambda k: A[:, :, k]  # noqa: E731
-        col = lambda k: A[:, k, :]  # noqa: E731
+        row = lambda k: S[:, k, :]  # noqa: E731
+        col = lambda k: S[k]  # noqa: E731
 
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(tile):
             rk = row(k)
             if k:
-                b[:, k] -= np.einsum("bj,bj->b", rk[:, :k], b[:, :k])
-            b[:, k] /= rk[:, k]
+                b[k, :] -= np.einsum("jb,jb->b", rk[:k], b[:k])
+            b[k, :] /= rk[k]
             if k:
-                b[:, :k] -= col(k)[:, :k] * b[:, k, None]
+                b[:k, :] -= col(k)[:k] * b[k, :]
     x = np.empty_like(b)
-    x[barange[:, None], fac.colperm] = b
-    return BatchedVectors(x, rhs.sizes.copy())
+    x[fac.colperm.T, barange[None, :]] = b
+    return BatchedVectors(soa_to_aos(x), rhs.sizes.copy())

@@ -12,6 +12,9 @@ Three algorithmic variants are provided:
     position, and a single combined row permutation is applied after the
     main loop, fused with the factor off-load.  This is the variant the
     CUDA kernel uses because it removes all inter-thread row traffic.
+    It sweeps the interleaved ``(tile, tile, nb)`` layout (see
+    :mod:`repro.core.batch`), so each step touches contiguous
+    length-``nb`` vectors.
 
 ``lu_factor(..., pivoting="explicit")``
     Figure 1 (top): the textbook right-looking LU with explicit row
@@ -29,6 +32,11 @@ pads every problem to the warp width.  The padding steps factor an
 identity block and are numerically inert, but they do execute flops -
 the performance model charges for them, which reproduces the paper's
 "eager LU is slower below size 32" observation.
+
+Every variant returns its factors in interleaved storage
+(:attr:`LUFactors.soa`); the explicit and no-pivot variants, kept as
+the bitwise oracle and for the pivoting ablation, run on AoS tiles and
+hand over a transposed copy.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from typing import Literal
 
 import numpy as np
 
-from .batch import BatchedMatrices
+from .batch import BatchedMatrices, aos_to_soa, soa_to_aos, store_soa
 from .blas import (
     batched_apply_row_perm,
     batched_ger_update,
@@ -63,18 +71,21 @@ class LUFactors:
 
     Attributes
     ----------
-    factors:
-        Batch holding, per problem, the unit lower triangular factor
-        ``L`` (strict lower part; unit diagonal implied) and the upper
-        triangular factor ``U`` (upper part including the diagonal), in
-        LAPACK ``getrf`` layout.  Rows are already in pivoted order, i.e.
-        the combined row swap has been applied.
+    soa:
+        Interleaved ``(tile, tile, nb)`` factor storage: ``soa[r, c, b]``
+        is element ``(r, c)`` of block ``b``'s factors - the unit lower
+        triangular ``L`` (strict lower part; unit diagonal implied) and
+        the upper triangular ``U`` (upper part including the diagonal),
+        in LAPACK ``getrf`` layout.  Rows are already in pivoted order,
+        i.e. the combined row swap has been applied.
     perm:
         Gather permutations of shape ``(nb, tile)``:
         ``(P A)[k, :] = A[perm[k], :]`` and ``P A = L U``.
     info:
         LAPACK-style status per problem: ``0`` on success, ``k+1`` if the
-        pivot of step ``k`` was exactly zero (singular block).
+        pivot of step ``k`` was zero or non-finite (singular block).
+    sizes:
+        Active size of every block.
     pivoting:
         Which pivoting strategy produced this factorization.
     degradation:
@@ -82,23 +93,30 @@ class LUFactors:
         called with an ``on_singular`` policy; None otherwise.
     """
 
-    factors: BatchedMatrices
+    soa: np.ndarray
     perm: np.ndarray
     info: np.ndarray
+    sizes: np.ndarray
     pivoting: Pivoting = "implicit"
     degradation: DegradationRecord | None = None
 
     @property
+    def factors(self) -> BatchedMatrices:
+        """The factors as an AoS ``(nb, tile, tile)`` batch.
+
+        Built from :attr:`soa` on every access and never cached, so the
+        factor memory is not doubled; writes to it do not reach the
+        factorization.
+        """
+        return BatchedMatrices(soa_to_aos(self.soa), self.sizes.copy())
+
+    @property
     def nb(self) -> int:
-        return self.factors.nb
+        return self.soa.shape[2]
 
     @property
     def tile(self) -> int:
-        return self.factors.tile
-
-    @property
-    def sizes(self) -> np.ndarray:
-        return self.factors.sizes
+        return self.soa.shape[0]
 
     @property
     def ok(self) -> bool:
@@ -107,8 +125,7 @@ class LUFactors:
 
     def unit_lower(self) -> np.ndarray:
         """Dense ``(nb, tile, tile)`` copy of L with its unit diagonal."""
-        data = self.factors.data
-        L = np.tril(data, k=-1)
+        L = np.tril(self.factors.data, k=-1)
         idx = np.arange(self.tile)
         L[:, idx, idx] = 1.0
         return L
@@ -138,10 +155,9 @@ def lu_factor(
         ``"implicit"`` (default, the paper's scheme), ``"explicit"``
         (textbook row swaps) or ``"none"``.
     overwrite:
-        If True, the batch's storage is destroyed (used as scratch).
-        The ``"scalar"``/``"shift"`` policies snapshot the input first
-        (they rebuild candidates from the original blocks), so the
-        scratch saving is lost for those two policies.
+        If True, the batch's storage is destroyed: once the
+        factorization (and any substitution) is done, the factors are
+        moved into it and hold no memory beyond the caller's buffer.
     on_singular:
         None (default) keeps the LAPACK behaviour: singular blocks are
         flagged in ``info`` and the caller decides.  A policy name from
@@ -166,19 +182,15 @@ def lu_factor(
     """
     if pivoting not in ("implicit", "explicit", "none"):
         raise ValueError(f"unknown pivoting strategy: {pivoting!r}")
-    originals = None
-    if on_singular in ("scalar", "shift"):
-        originals = batch.data.copy() if overwrite else batch.data
-    A = batch.data if overwrite else batch.data.copy()
     sizes = batch.sizes.copy()
     core = _CORES[pivoting]
-    out, perm, info = core(A)
+    out, perm, info = core(batch.data)
     record = None
     if on_singular is not None:
 
         def refactor(cand: np.ndarray, idx: np.ndarray) -> np.ndarray:
             sub_out, sub_perm, sub_info = core(cand)
-            out[idx] = sub_out
+            out[:, :, idx] = sub_out
             perm[idx] = sub_perm
             return sub_info
 
@@ -186,16 +198,19 @@ def lu_factor(
             on_singular,
             info,
             refactor,
-            originals,
+            batch.data,
             sizes,
-            out.shape[1],
+            out.shape[0],
             out.dtype,
             kernel=f"batched LU ({pivoting} pivoting)",
         )
+    if overwrite:
+        out = store_soa(batch.data, out)
     return LUFactors(
-        factors=BatchedMatrices(out, sizes),
+        soa=out,
         perm=perm,
         info=info,
+        sizes=sizes,
         pivoting=pivoting,
         degradation=record,
     )
@@ -207,46 +222,67 @@ def _factor_implicit(A: np.ndarray):
     Every elimination step selects the pivot row by a masked column
     argmax (the warp kernel uses a shuffle reduction with the same
     lowest-index tie break), marks it, and updates *all* still-unpivoted
-    rows.  No row ever moves until the single gather at the end.
+    rows.  No row ever moves until the single gather at the end.  The
+    sweep runs on an interleaved copy ``S`` of the AoS input ``A``
+    (which is left untouched): each step's SCAL writes one contiguous
+    ``nb``-vector and the GER updates ``tile - k - 1`` of them.
     """
-    nb, tile, _ = A.shape
+    S = aos_to_soa(A)
+    tile, _, nb = S.shape
     barange = np.arange(nb)
     steps = np.full((nb, tile), -1, dtype=np.int64)
-    pivoted = np.zeros((nb, tile), dtype=bool)
+    pivoted = np.zeros((tile, nb), dtype=bool)
     info = np.zeros(nb, dtype=np.int64)
     for k in range(tile):
         # -- pivot selection (lines 6-9): masked argmax over column k.
-        col = np.abs(A[:, :, k])
+        col = np.abs(S[:, k, :])
         col[pivoted] = -1.0  # exclude rows already chosen as pivots
         # NaN candidates would win argmax (NumPy treats NaN as maximal)
         # and be selected *silently* with info == 0; map them to +inf so
         # the lowest contaminated row wins deterministically (matching
         # the explicit variant's tie break) and flag it below.
         np.copyto(col, np.inf, where=np.isnan(col))
-        ipiv = col.argmax(axis=1)
-        pivot_val = A[barange, ipiv, k]
+        ipiv = col.argmax(axis=0)
+        pivot_val = S[ipiv, k, barange]
         steps[barange, ipiv] = k
-        pivoted[barange, ipiv] = True
+        pivoted[ipiv, barange] = True
         singular = (pivot_val == 0) | ~np.isfinite(pivot_val)
         np.copyto(info, k + 1, where=(info == 0) & singular)
         # -- Gauss transformation (lines 12-15) on unpivoted rows only.
         # Padding rows are unpivoted during the first `size` steps but
         # hold exact zeros in the active columns, so the update is a
         # numerical no-op for them - no size bookkeeping is needed here.
-        update_rows = ~pivoted
+        update = ~pivoted
         inv_pivot = np.ones_like(pivot_val)
         np.divide(1.0, pivot_val, out=inv_pivot, where=~singular)
-        batched_scal_rows(A, k, inv_pivot, update_rows & ~singular[:, None])
-        pivot_row = A[barange, ipiv, :]
-        batched_ger_update(A, k, pivot_row, update_rows)
+        scal = S[:, k, :]
+        np.multiply(
+            scal,
+            inv_pivot[None, :],
+            out=scal,
+            where=update & ~singular[None, :],
+        )
+        if k + 1 < tile:
+            pivot_row = S[ipiv, k + 1 :, barange].T  # (tile-k-1, nb)
+            trailing = S[:, k + 1 :, :]
+            np.subtract(
+                trailing,
+                scal[:, None, :] * pivot_row[None, :, :],
+                out=trailing,
+                where=update[:, None, :],
+            )
     # -- combined row swap, fused with the off-load (lines 17-19).
     perm = steps_to_perm(steps)
-    out = batched_apply_row_perm(A, perm)
+    out = S[perm.T[:, None, :], np.arange(tile)[None, :, None], barange]
     return out, perm, info
 
 
 def _factor_explicit(A: np.ndarray):
-    """Textbook right-looking LU with explicit row swaps (Figure 1, top)."""
+    """Textbook right-looking LU with explicit row swaps (Figure 1, top).
+
+    Runs on an AoS copy of ``A`` and returns interleaved factors.
+    """
+    A = A.copy()
     nb, tile, _ = A.shape
     barange = np.arange(nb)
     perm = identity_perms(nb, tile)
@@ -284,11 +320,12 @@ def _factor_explicit(A: np.ndarray):
         np.divide(1.0, pivot_val, out=inv_pivot, where=~singular)
         batched_scal_rows(A, k, inv_pivot, below & ~singular[:, None])
         batched_ger_update(A, k, A[:, k, :].copy(), below)
-    return A, perm, info
+    return aos_to_soa(A), perm, info
 
 
 def _factor_nopivot(A: np.ndarray):
     """LU without pivoting; numerically unstable, for the ablation only."""
+    A = A.copy()
     nb, tile, _ = A.shape
     perm = identity_perms(nb, tile)
     info = np.zeros(nb, dtype=np.int64)
@@ -302,7 +339,7 @@ def _factor_nopivot(A: np.ndarray):
         np.divide(1.0, pivot_val, out=inv_pivot, where=~singular)
         batched_scal_rows(A, k, inv_pivot, below & ~singular[:, None])
         batched_ger_update(A, k, A[:, k, :].copy(), below)
-    return A, perm, info
+    return aos_to_soa(A), perm, info
 
 
 _CORES.update(

@@ -16,7 +16,10 @@ trailing right-hand side with an AXPY as soon as a component is known.
 The eager variant parallelises trivially across the warp and reads the
 factor column-wise (coalesced in column-major storage), so it is the
 one the CUDA kernel uses; both are implemented here and compared in the
-ablation benchmark.
+ablation benchmark.  The eager sweeps run on the interleaved
+``(tile, tile, nb)`` layout (see :mod:`repro.core.batch`), where every
+AXPY touches contiguous length-``nb`` vectors; the lazy sweeps read
+AoS tiles.
 
 All solves run uniform ``tile``-step loops; the identity padding of the
 factors makes the padded steps numerically inert (multiplying zeros /
@@ -29,7 +32,7 @@ from typing import Literal
 
 import numpy as np
 
-from .batch import BatchedMatrices, BatchedVectors
+from .batch import BatchedMatrices, BatchedVectors, aos_to_soa, soa_to_aos
 from .batched_lu import LUFactors
 from .blas import batched_dot_rows
 from .pivoting import permute_vectors
@@ -43,12 +46,87 @@ __all__ = [
 Variant = Literal["eager", "lazy"]
 
 
-def _check_pair(mats: BatchedMatrices, rhs: BatchedVectors) -> None:
+def _check_pair(mats, rhs: BatchedVectors) -> None:
+    """``mats``: a batch or factorization (anything with nb/tile)."""
     if mats.nb != rhs.nb or mats.tile != rhs.tile:
         raise ValueError(
             f"batch mismatch: matrices {mats.nb}x{mats.tile} vs "
             f"vectors {rhs.nb}x{rhs.tile}"
         )
+
+
+def _eager_lower(S: np.ndarray, b: np.ndarray) -> None:
+    """Unit-lower AXPY sweep on interleaved ``S`` ``(tile, tile, nb)``
+    and ``b`` ``(tile, nb)``, in place.  One column of L per step; the
+    trailing vector is updated as soon as ``y_k`` is final, which is
+    immediately because L has a unit diagonal."""
+    for k in range(S.shape[0] - 1):
+        b[k + 1 :, :] -= S[k + 1 :, k, :] * b[k, :]
+
+
+def _eager_upper(S: np.ndarray, b: np.ndarray) -> None:
+    """Upper AXPY sweep on interleaved storage, in place."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(S.shape[0] - 1, -1, -1):
+            b[k, :] /= S[k, k, :]
+            if k:
+                b[:k, :] -= S[:k, k, :] * b[k, :]
+
+
+def _lazy_lower(A: np.ndarray, b: np.ndarray) -> None:
+    """Unit-lower DOT sweep on AoS ``A`` and ``b``, in place: one row
+    of L per step; each component needs a DOT reduction."""
+    for k in range(1, A.shape[1]):
+        b[:, k] -= batched_dot_rows(A[:, k, :], b, k)
+
+
+def _lazy_upper(A: np.ndarray, b: np.ndarray) -> None:
+    """Upper DOT sweep on AoS storage, in place."""
+    tile = A.shape[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(tile - 1, -1, -1):
+            if k + 1 < tile:
+                b[:, k] -= np.einsum(
+                    "bj,bj->b", A[:, k, k + 1 :], b[:, k + 1 :]
+                )
+            b[:, k] /= A[:, k, k]
+
+
+_SWEEPS = {
+    "eager": (_eager_lower, _eager_upper),
+    "lazy": (_lazy_lower, _lazy_upper),
+}
+
+
+def _variant_sweeps(variant: Variant):
+    """``(lower, upper)`` sweeps of a TRSV variant."""
+    try:
+        return _SWEEPS[variant]
+    except KeyError:
+        raise ValueError(f"unknown variant {variant!r}") from None
+
+
+def _triangular_solve(
+    part: int,
+    factors: BatchedMatrices,
+    rhs: BatchedVectors,
+    variant: Variant,
+    overwrite: bool,
+) -> BatchedVectors:
+    """One triangular solve on AoS factors (``part`` 0 = L, 1 = U)."""
+    _check_pair(factors, rhs)
+    sweep = _variant_sweeps(variant)[part]
+    if variant == "eager":
+        b = aos_to_soa(rhs.data)
+        sweep(aos_to_soa(factors.data), b)
+        b = soa_to_aos(b)
+        if overwrite:
+            rhs.data[...] = b
+            b = rhs.data
+    else:
+        b = rhs.data if overwrite else rhs.data.copy()
+        sweep(factors.data, b)
+    return BatchedVectors(b, rhs.sizes.copy())
 
 
 def lower_unit_solve(
@@ -72,23 +150,7 @@ def lower_unit_solve(
         ``"eager"`` (AXPY-based, Figure 2 bottom - the kernel's choice)
         or ``"lazy"`` (DOT-based, Figure 2 top).
     """
-    _check_pair(factors, rhs)
-    A = factors.data
-    b = rhs.data if overwrite else rhs.data.copy()
-    tile = factors.tile
-    if variant == "eager":
-        # One column of L per step; the trailing vector is updated as
-        # soon as y_k is final.  y_k is final immediately because L has
-        # a unit diagonal.
-        for k in range(tile - 1):
-            b[:, k + 1 :] -= A[:, k + 1 :, k] * b[:, k, None]
-    elif variant == "lazy":
-        # One row of L per step; each component needs a DOT reduction.
-        for k in range(1, tile):
-            b[:, k] -= batched_dot_rows(A[:, k, :], b, k)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return BatchedVectors(b, rhs.sizes.copy())
+    return _triangular_solve(0, factors, rhs, variant, overwrite)
 
 
 def upper_solve(
@@ -104,26 +166,7 @@ def upper_solve(
     yields ``inf``/``nan`` in that problem's solution, matching LAPACK
     ``getrs`` behaviour when called despite a nonzero ``info``.
     """
-    _check_pair(factors, rhs)
-    A = factors.data
-    b = rhs.data if overwrite else rhs.data.copy()
-    tile = factors.tile
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if variant == "eager":
-            for k in range(tile - 1, -1, -1):
-                b[:, k] /= A[:, k, k]
-                if k:
-                    b[:, :k] -= A[:, :k, k] * b[:, k, None]
-        elif variant == "lazy":
-            for k in range(tile - 1, -1, -1):
-                if k + 1 < tile:
-                    b[:, k] -= np.einsum(
-                        "bj,bj->b", A[:, k, k + 1 :], b[:, k + 1 :]
-                    )
-                b[:, k] /= A[:, k, k]
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
-    return BatchedVectors(b, rhs.sizes.copy())
+    return _triangular_solve(1, factors, rhs, variant, overwrite)
 
 
 def lu_solve(
@@ -137,7 +180,9 @@ def lu_solve(
     factorization ``P A = L U`` from :func:`repro.core.batched_lu.lu_factor`.
 
     The permutation is fused with the load of ``b`` (Section III-B): a
-    single gather produces the register image of ``P b``.
+    single gather produces the register image of ``P b``.  The eager
+    sweeps read the interleaved factors directly; the lazy ones read
+    the AoS :attr:`~repro.core.batched_lu.LUFactors.factors`.
 
     Raises
     ------
@@ -151,9 +196,16 @@ def lu_solve(
             f"lu_solve called on a factorization with {bad} singular "
             "block(s); inspect LUFactors.info"
         )
-    _check_pair(fac.factors, rhs)
-    permuted = BatchedVectors(
-        permute_vectors(rhs.data, fac.perm), rhs.sizes.copy()
-    )
-    y = lower_unit_solve(fac.factors, permuted, variant=variant, overwrite=True)
-    return upper_solve(fac.factors, y, variant=variant, overwrite=True)
+    _check_pair(fac, rhs)
+    lower, upper = _variant_sweeps(variant)
+    b = permute_vectors(rhs.data, fac.perm)
+    if variant == "eager":
+        b = aos_to_soa(b)
+        lower(fac.soa, b)
+        upper(fac.soa, b)
+        b = soa_to_aos(b)
+    else:
+        A = fac.factors.data
+        lower(A, b)
+        upper(A, b)
+    return BatchedVectors(b, rhs.sizes.copy())

@@ -264,11 +264,8 @@ def interleaved_lu_factor_counts(
     instead of ``O(m^2)``.  The projection prices exactly this trade.
 
     Like ``inverse_apply``, this kind has no warp realisation in
-    :mod:`repro.gpu.warp_lu` (the NumPy runtime realises the layout in
-    :mod:`repro.core.interleaved`), so it is priced from this closed
-    form directly rather than replay-verified; the
-    ``interleaved_vs_binned`` block of ``BENCH_runtime.json`` is its
-    measured counterpart.
+    :mod:`repro.gpu.warp_lu`, so it is priced from this closed form
+    directly rather than replay-verified.
     """
     s = KernelStats()
     loads = 0

@@ -87,8 +87,7 @@ def project_kernel(
     if kind == "interleaved_factor":
         # Batch-interleaved (SoA) LU: one thread per matrix, fully
         # coalesced but memory-streaming - priced straight from the
-        # closed form, like inverse_apply (no warp realisation; the
-        # NumPy layout kernels live in repro.core.interleaved).  One
+        # closed form, like inverse_apply (no warp realisation).  One
         # thread stages a column of its own block plus loop state.
         from .closed_forms import interleaved_lu_factor_counts
         from .profiles import _value_regs

@@ -129,15 +129,15 @@ class BlockJacobiPreconditioner(Preconditioner):
         Route the batched factorization and solves through the
         :mod:`repro.runtime` execution subsystem instead of direct
         kernel calls.  ``backend`` names a registered executor backend
-        (``"binned"``, ``"numpy"``, ``"scipy"``, ``"threads"``) and
+        (``"binned"``, ``"numpy"``, ``"scipy"``) and
         builds a private :class:`~repro.runtime.BatchRuntime` for it;
         ``runtime`` shares an existing one (and with it its
         factorization cache - the serving scenario where repeated
         setups on the same matrix skip refactorization).  When both
         are None (the default) the historical direct path runs; the
-        runtime path is numerically equivalent (the ``binned``/
-        ``threads`` backends are bitwise-identical to it on the
-        active blocks) and additionally records a
+        runtime path is numerically equivalent (the ``binned``
+        backend is bitwise-identical to it on the active blocks) and
+        additionally records a
         :class:`~repro.runtime.RuntimeReport` in ``runtime_report``.
 
     Attributes (after ``setup``)

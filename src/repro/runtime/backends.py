@@ -20,22 +20,10 @@ can cross-check them against each other:
     Per-block LAPACK (``getrf``/``getrs`` via SciPy): the external
     anchor.  No padding at all, so its reports show zero waste.  LU
     only; gated on SciPy being importable.
-``"threads"``
-    The binned execution with the per-bin kernel calls fanned out on a
-    ``concurrent.futures`` thread pool (NumPy releases the GIL inside
-    the heavy ufuncs, bins are independent).  Bitwise-identical
-    results to ``"binned"``.
-``"interleaved"``
-    The binned execution with every bin's kernel running on the
-    structure-of-arrays ``(tile, tile, nb)`` layout of
-    :mod:`repro.core.interleaved` (Gloster et al., PAPERS.md): each
-    per-``k`` elimination step touches contiguous length-``nb``
-    vectors instead of striding across matrices.  LU/TRSV results are
-    bitwise-identical to ``"binned"``; Gauss-Huard agrees to rounding
-    (its lazy-update einsum accumulates in a different order).
-    Supports ``lu``/``gh``/``ght`` (the ``gje`` and ``cholesky``
-    kernels have no interleaved realisation), and inverts via the
-    factors' AoS adapters.
+
+The LU, TRSV and Gauss-Huard kernels behind the NumPy backends sweep
+the interleaved ``(tile, tile, nb)`` layout (see
+:mod:`repro.core.batch`).
 
 Backends additionally advertise an ``invert`` capability
 (``supports_invert``): building explicit block inverses from an
@@ -56,13 +44,13 @@ failed blocks and record a merged
 from __future__ import annotations
 
 import importlib.util
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from ..core.batch import BatchedMatrices, BatchedVectors
+from ..core.batch import BatchedVectors
 from ..core.batched_cholesky import cholesky_factor, cholesky_solve
 from ..core.batched_gauss_huard import gh_factor, gh_solve
 from ..core.batched_gauss_jordan import gj_apply, gj_invert
@@ -79,7 +67,6 @@ from ..core.explicit_inverse import (
     inverse_apply,
     invert_factors,
 )
-from ..core.interleaved import interleaved_kernel_pair
 from ..telemetry.tracer import get_tracer
 from .planner import ExecutionPlan
 from .stats import BinStats
@@ -103,22 +90,13 @@ class BackendUnavailable(RuntimeError):
     """The requested backend cannot run in this environment."""
 
 
-#: state-method prefix marking an interleaved-layout factorization
-_INTERLEAVED_PREFIX = "interleaved:"
-
-
 def _kernel_pair(method: str) -> tuple[Callable, Callable]:
     """(factor, solve) kernel pair for a method name.
 
-    Method names prefixed ``"interleaved:"`` (as stored in the
-    interleaved backend's state tuples) dispatch to the SoA kernels of
-    :mod:`repro.core.interleaved`; the shared binned machinery and the
-    apply-mode autotuner then work on interleaved states unchanged.
+    The LU pair looks ``lu_factor``/``lu_solve`` up as module globals
+    at call time, so a wrapper installed on this module sees every
+    kernel call.
     """
-    if method.startswith(_INTERLEAVED_PREFIX):
-        return interleaved_kernel_pair(
-            method[len(_INTERLEAVED_PREFIX) :]
-        )
     if method == "lu":
         return (
             lambda b, pol, ow: lu_factor(
@@ -194,9 +172,9 @@ class Backend:
     #: whether this backend can build explicit inverses for the
     #: ``apply_mode="inverse"`` path (``invert``/``apply_inverse``)
     supports_invert: bool = False
-    #: factorization methods this backend can execute (method-restricted
-    #: backends - scipy, interleaved - narrow this and raise ValueError
-    #: on anything else)
+    #: factorization methods this backend can execute (the
+    #: method-restricted scipy backend narrows this and raises
+    #: ValueError on anything else)
     supported_methods: tuple = METHODS
 
     def factorize(
@@ -280,7 +258,7 @@ def available_backends() -> list[str]:
     return sorted(names)
 
 
-# -- shared binned machinery -------------------------------------------------
+# -- shared helpers ----------------------------------------------------------
 
 
 def _merge_records(
@@ -302,114 +280,6 @@ def _merge_records(
         action[b.indices] = rec.action
         shift[b.indices] = rec.shift
     return DegradationRecord(policy, original_info, action, shift)
-
-
-def _factor_bins(
-    plan: ExecutionPlan,
-    method: str,
-    on_singular: OnSingular | None,
-    run: Callable[[Callable[..., object], ExecutionPlan], list],
-) -> BackendFactorization:
-    """Factorize every bin; ``run`` maps the kernel over the bins
-    (serially or on a pool).
-
-    The ``"raise"`` policy is evaluated on the *merged* status so the
-    error reports every singular block of the whole batch (bin-local
-    raising would only name the first offending bin).
-    """
-    factor, _ = _kernel_pair(method)
-    per_bin_policy = (
-        None if on_singular in (None, "raise") else on_singular
-    )
-
-    def bin_kernel(bin_plan):
-        return factor(bin_plan.batch, per_bin_policy, True)
-
-    tr = get_tracer()
-    if tr.enabled:
-        raw_kernel = bin_kernel
-
-        def bin_kernel(bin_plan):  # noqa: F811 - traced variant
-            with tr.span(
-                f"factorize.bin[tile={bin_plan.tile}]",
-                cat="runtime",
-                tile=bin_plan.tile,
-                nb=bin_plan.nb,
-                method=method,
-            ):
-                return raw_kernel(bin_plan)
-
-    facs = run(bin_kernel, plan)
-    info = plan.scatter_per_block([f.info for f in facs])
-    if on_singular == "raise" and np.any(info):
-        failed = np.nonzero(info)[0]
-        raise SingularBlockError(
-            f"{failed.size} block(s) failed the batched {method} "
-            f"factorization (first failing steps: info={info[failed][:8]}...); "
-            "pass on_singular='identity'|'scalar'|'shift' to degrade "
-            "gracefully instead of aborting",
-            info,
-        )
-    if on_singular is None:
-        record = None
-    elif on_singular == "raise":
-        # clean batch under "raise": the kernels record an all-clear
-        record = DegradationRecord(
-            "raise",
-            info.copy(),
-            np.zeros(plan.nb, dtype=np.int8),
-            np.zeros(plan.nb, dtype=np.float64),
-        )
-    else:
-        record = _merge_records(
-            plan, [f.degradation for f in facs], on_singular
-        )
-        if record is None:
-            record = DegradationRecord(
-                on_singular,
-                info.copy(),
-                np.zeros(plan.nb, dtype=np.int8),
-                np.zeros(plan.nb, dtype=np.float64),
-            )
-    return BackendFactorization(
-        state=(method, facs), info=info, degradation=record
-    )
-
-
-def _solve_bins(
-    state: object, plan: ExecutionPlan, rhs: BatchedVectors
-) -> BatchedVectors:
-    method, facs = state
-    _, solve = _kernel_pair(method)
-    per_bin = plan.split_rhs(rhs)
-    return plan.merge_solutions(
-        [solve(f, r) for f, r in zip(facs, per_bin)]
-    )
-
-
-def _invert_bins(state: object) -> BackendInverse:
-    """Per-bin explicit inverses from a binned factorization state."""
-    _, facs = state
-    return BackendInverse(states=[invert_factors(f) for f in facs])
-
-
-def _apply_inverse_bins(
-    inv: BackendInverse,
-    state: object,
-    plan: ExecutionPlan,
-    rhs: BatchedVectors,
-) -> BatchedVectors:
-    """Per-bin GEMV apply; bins with a disabled inverse (None entry)
-    run the factorization solve instead."""
-    method, facs = state
-    _, solve = _kernel_pair(method)
-    per_bin = plan.split_rhs(rhs)
-    return plan.merge_solutions(
-        [
-            inverse_apply(s, r) if s is not None else solve(f, r)
-            for s, f, r in zip(inv.states, facs, per_bin)
-        ]
-    )
 
 
 def _binned_stats(plan: ExecutionPlan) -> list[BinStats]:
@@ -481,124 +351,82 @@ class BinnedBackend(Backend):
     supports_invert = True
 
     def factorize(self, plan, method="lu", on_singular=None):
-        return _factor_bins(
-            plan,
-            method,
-            on_singular,
-            lambda kernel, p: [kernel(b) for b in p.bins],
+        """Factorize every bin in place of its batch.
+
+        The ``"raise"`` policy is evaluated on the *merged* status so
+        the error reports every singular block of the whole batch
+        (bin-local raising would only name the first offending bin).
+        """
+        factor, _ = _kernel_pair(method)
+        per_bin_policy = (
+            None if on_singular in (None, "raise") else on_singular
         )
-
-    def solve(self, state, plan, rhs):
-        return _solve_bins(state, plan, rhs)
-
-    def invert(self, state, plan):
-        return _invert_bins(state)
-
-    def apply_inverse(self, inv, state, plan, rhs):
-        return _apply_inverse_bins(inv, state, plan, rhs)
-
-    def bin_stats(self, plan):
-        return _binned_stats(plan)
-
-
-@register_backend
-class ThreadsBackend(Backend):
-    """Binned execution with bins fanned out over a thread pool."""
-
-    name = "threads"
-    supports_invert = True
-
-    def __init__(self, max_workers: int | None = None):
-        self.max_workers = max_workers
-
-    def _run(self, kernel, plan):
-        if len(plan.bins) <= 1:
-            return [kernel(b) for b in plan.bins]
-        with ThreadPoolExecutor(
-            max_workers=self.max_workers or len(plan.bins)
-        ) as pool:
-            return list(pool.map(kernel, plan.bins))
-
-    def factorize(self, plan, method="lu", on_singular=None):
-        return _factor_bins(plan, method, on_singular, self._run)
+        tr = get_tracer()
+        facs = []
+        for b in plan.bins:
+            span = nullcontext()
+            if tr.enabled:
+                span = tr.span(
+                    f"factorize.bin[tile={b.tile}]",
+                    cat="runtime",
+                    tile=b.tile,
+                    nb=b.nb,
+                    method=method,
+                )
+            with span:
+                facs.append(factor(b.batch, per_bin_policy, True))
+        info = plan.scatter_per_block([f.info for f in facs])
+        if on_singular == "raise" and np.any(info):
+            failed = np.nonzero(info)[0]
+            raise SingularBlockError(
+                f"{failed.size} block(s) failed the batched {method} "
+                f"factorization (first failing steps: "
+                f"info={info[failed][:8]}...); pass "
+                "on_singular='identity'|'scalar'|'shift' to degrade "
+                "gracefully instead of aborting",
+                info,
+            )
+        record = None
+        if on_singular not in (None, "raise"):
+            record = _merge_records(
+                plan, [f.degradation for f in facs], on_singular
+            )
+        if on_singular is not None and record is None:
+            # clean batch (or "raise"): the kernels record an all-clear
+            record = DegradationRecord(
+                on_singular,
+                info.copy(),
+                np.zeros(plan.nb, dtype=np.int8),
+                np.zeros(plan.nb, dtype=np.float64),
+            )
+        return BackendFactorization(
+            state=(method, facs), info=info, degradation=record
+        )
 
     def solve(self, state, plan, rhs):
         method, facs = state
         _, solve = _kernel_pair(method)
         per_bin = plan.split_rhs(rhs)
-        if len(plan.bins) <= 1:
-            sols = [solve(f, r) for f, r in zip(facs, per_bin)]
-        else:
-            with ThreadPoolExecutor(
-                max_workers=self.max_workers or len(plan.bins)
-            ) as pool:
-                sols = list(
-                    pool.map(lambda fr: solve(*fr), zip(facs, per_bin))
-                )
-        return plan.merge_solutions(sols)
+        return plan.merge_solutions(
+            [solve(f, r) for f, r in zip(facs, per_bin)]
+        )
 
     def invert(self, state, plan):
         _, facs = state
-        if len(facs) <= 1:
-            return _invert_bins(state)
-        # the 2m^3-flop inversion is the expensive half of the trade;
-        # fan it out like the factorization itself
-        with ThreadPoolExecutor(
-            max_workers=self.max_workers or len(facs)
-        ) as pool:
-            return BackendInverse(
-                states=list(pool.map(invert_factors, facs))
-            )
+        return BackendInverse(states=[invert_factors(f) for f in facs])
 
     def apply_inverse(self, inv, state, plan, rhs):
-        return _apply_inverse_bins(inv, state, plan, rhs)
-
-    def bin_stats(self, plan):
-        return _binned_stats(plan)
-
-
-@register_backend
-class InterleavedBackend(Backend):
-    """Per-bin execution on the structure-of-arrays layout.
-
-    Identical bin structure and merge semantics to ``binned`` - the
-    shared machinery handles splitting, ``info`` scatter, degradation
-    merging and telemetry spans - but every bin's factor/solve kernel
-    runs on the interleaved ``(tile, tile, nb)`` storage.  Explicit
-    inverses are built through the factors' ``to_aos()`` adapters, so
-    ``apply_mode="inverse"`` reuses the proven ``invert_factors`` path
-    (the inverse states themselves are layout-independent).
-    """
-
-    name = "interleaved"
-    supports_invert = True
-    #: methods with an interleaved kernel realisation
-    supported_methods = ("lu", "gh", "ght")
-
-    def factorize(self, plan, method="lu", on_singular=None):
-        if method not in self.supported_methods:
-            raise ValueError(
-                "the 'interleaved' backend supports methods "
-                f"{self.supported_methods}, got {method!r}"
-            )
-        return _factor_bins(
-            plan,
-            _INTERLEAVED_PREFIX + method,
-            on_singular,
-            lambda kernel, p: [kernel(b) for b in p.bins],
+        """Per-bin GEMV apply; bins with a disabled inverse (None
+        entry) run the factorization solve instead."""
+        method, facs = state
+        _, solve = _kernel_pair(method)
+        per_bin = plan.split_rhs(rhs)
+        return plan.merge_solutions(
+            [
+                inverse_apply(s, r) if s is not None else solve(f, r)
+                for s, f, r in zip(inv.states, facs, per_bin)
+            ]
         )
-
-    def solve(self, state, plan, rhs):
-        return _solve_bins(state, plan, rhs)
-
-    def invert(self, state, plan):
-        _, facs = state
-        return BackendInverse(
-            states=[invert_factors(f.to_aos()) for f in facs]
-        )
-
-    def apply_inverse(self, inv, state, plan, rhs):
-        return _apply_inverse_bins(inv, state, plan, rhs)
 
     def bin_stats(self, plan):
         return _binned_stats(plan)
@@ -636,8 +464,11 @@ class ScipyBackend(Backend):
                 _warnings.simplefilter("ignore")  # LinAlgWarning on singular
                 lu, piv = scipy.linalg.lu_factor(block, check_finite=False)
             states[i] = (lu, piv)
-            zero = np.nonzero(np.diag(lu) == 0.0)[0]
-            info[i] = int(zero[0]) + 1 if zero.size else 0
+            # same status as the NumPy kernels: the first zero *or
+            # non-finite* pivot fails the block
+            d = np.diag(lu)
+            bad = np.flatnonzero((d == 0.0) | ~np.isfinite(d))
+            info[i] = int(bad[0]) + 1 if bad.size else 0
 
         for i in range(nb):
             factor_block(i, np.array(src.block(i), dtype=np.float64))

@@ -34,8 +34,8 @@ estimate) or an explicit ``nbytes=`` at :meth:`put`; valueless objects
 count as zero bytes.
 
 All operations are guarded by one :class:`threading.Lock`: a shared
-runtime is reachable from the ``threads`` backend's pool and from
-multiple request threads at once, and the ``OrderedDict`` reordering
+runtime is reachable from multiple request threads at once, and the
+``OrderedDict`` reordering
 in ``get``/``put`` is not atomic on its own.  The clock is injectable
 (monotonic seconds) so TTL tests can step time deterministically.
 """

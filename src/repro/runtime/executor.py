@@ -290,7 +290,7 @@ class BatchRuntime:
     ----------
     backend:
         Registered backend name (``"binned"`` - the default -,
-        ``"numpy"``, ``"scipy"``, ``"threads"``) or a ready
+        ``"numpy"``, ``"scipy"``) or a ready
         :class:`~repro.runtime.backends.Backend` instance.
     bins:
         Nominal bin ladder for the planner (default: the warp-tile

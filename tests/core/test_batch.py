@@ -2,14 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from repro.core import gh_factor, gh_solve, lu_factor, lu_solve
 from repro.core.batch import (
     DEFAULT_BINS,
     MAX_TILE,
     BatchedMatrices,
     BatchedVectors,
+    aos_to_soa,
     round_up_tile,
+    soa_to_aos,
 )
+
+from tests.strategies import batch_shapes, make_batch, make_rhs, seeds
+
+LAYOUT_SEED = 11
 
 
 class TestRoundUpTile:
@@ -245,3 +253,99 @@ class TestBatchedVectors:
         w = v.copy()
         w.data[0, 0] = 3.0
         assert v.data[0, 0] == 0.0
+
+
+class TestLayoutTransforms:
+    @given(shape=batch_shapes, seed=seeds)
+    @settings(max_examples=40, deadline=None)
+    def test_matrix_round_trip_is_bit_exact(self, shape, seed):
+        nb, max_size = shape
+        batch = make_batch(nb, max_size, seed, dominant=False)
+        soa = aos_to_soa(batch.data)
+        assert soa.shape == (batch.tile, batch.tile, nb)
+        assert soa.flags["C_CONTIGUOUS"]
+        back = soa_to_aos(soa)
+        assert back.shape == batch.data.shape
+        assert back.tobytes() == batch.data.tobytes()
+
+    @given(shape=batch_shapes, seed=seeds)
+    @settings(max_examples=40, deadline=None)
+    def test_vector_round_trip_is_bit_exact(self, shape, seed):
+        nb, max_size = shape
+        batch = make_batch(nb, max_size, seed, dominant=False)
+        rhs = make_rhs(batch, seed + 1)
+        soa = aos_to_soa(rhs.data)
+        assert soa.shape == (batch.tile, nb)
+        assert soa_to_aos(soa).tobytes() == rhs.data.tobytes()
+
+    @given(seed=seeds)
+    @settings(max_examples=25, deadline=None)
+    def test_special_values_survive(self, seed):
+        # NaN payloads, signed zeros and infinities are storage bits
+        # like any other; the transform must not canonicalise them.
+        rng = np.random.default_rng(seed)
+        data = rng.standard_normal((3, 4, 4))
+        data[0, 0, 0] = np.nan
+        data[1, 2, 3] = -0.0
+        data[2, 1, 1] = np.inf
+        assert soa_to_aos(aos_to_soa(data)).tobytes() == data.tobytes()
+
+    @given(shape=batch_shapes, seed=seeds)
+    @settings(max_examples=25, deadline=None)
+    def test_padding_preserved(self, shape, seed):
+        nb, max_size = shape
+        batch = make_batch(nb, max_size, seed, dominant=True)
+        back = BatchedMatrices(
+            soa_to_aos(aos_to_soa(batch.data)), batch.sizes.copy()
+        )
+        # the identity-padding invariant survives the round trip
+        for i in range(nb):
+            m = int(batch.sizes[i])
+            pad = back.data[i, m:, m:]
+            np.testing.assert_array_equal(
+                pad, np.eye(batch.tile - m)
+            )
+            assert not back.data[i, :m, m:].any()
+            assert not back.data[i, m:, :m].any()
+
+    def test_empty_batch(self):
+        data = np.zeros((0, 8, 8))
+        soa = aos_to_soa(data)
+        assert soa.shape == (8, 8, 0)
+        assert soa_to_aos(soa).shape == (0, 8, 8)
+        vec = np.zeros((0, 8))
+        assert aos_to_soa(vec).shape == (8, 0)
+
+    def test_single_matrix(self):
+        rng = np.random.default_rng(LAYOUT_SEED)
+        data = rng.standard_normal((1, 4, 4))
+        soa = aos_to_soa(data)
+        np.testing.assert_array_equal(soa[:, :, 0], data[0])
+        assert soa_to_aos(soa).tobytes() == data.tobytes()
+
+    def test_transform_never_aliases_the_input(self):
+        # regression: for degenerate shapes (nb == 1, tile == 1) the
+        # transposed view is already C-contiguous, so a bare
+        # ascontiguousarray would return a view and the in-place SoA
+        # kernels would destroy the caller's batch
+        for shape in ((1, 4, 4), (4, 1, 1), (1, 1, 1), (1, 4)):
+            data = np.random.default_rng(LAYOUT_SEED).standard_normal(shape)
+            soa = aos_to_soa(data)
+            assert not np.shares_memory(soa, data)
+            assert not np.shares_memory(soa_to_aos(soa), soa)
+
+    def test_solve_does_not_mutate_rhs(self):
+        # nb == tile == 1: the SoA copy of the right-hand side would
+        # alias it without the always-copy rule
+        batch = make_batch(1, 1, LAYOUT_SEED, dominant=True)
+        rhs = make_rhs(batch, LAYOUT_SEED + 1)
+        before = rhs.data.copy()
+        lu_solve(lu_factor(batch), rhs)
+        gh_solve(gh_factor(batch), rhs)
+        np.testing.assert_array_equal(rhs.data, before)
+
+    def test_bad_rank_rejected(self):
+        with pytest.raises(ValueError, match="expected"):
+            aos_to_soa(np.zeros(5))
+        with pytest.raises(ValueError, match="expected"):
+            soa_to_aos(np.zeros((2, 2, 2, 2)))

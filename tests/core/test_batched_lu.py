@@ -182,6 +182,17 @@ class TestOverwrite:
         lu_factor(b, overwrite=False)
         np.testing.assert_array_equal(b.data, orig)
 
+    @pytest.mark.parametrize("pivoting", ["implicit", "explicit", "none"])
+    def test_overwrite_keeps_factors_in_the_input_buffer(self, pivoting):
+        b = random_batch(5, (2, 8), kind="diag_dominant", seed=20)
+        ref = lu_factor(b, pivoting=pivoting, on_singular="shift")
+        fac = lu_factor(
+            b, pivoting=pivoting, overwrite=True, on_singular="shift"
+        )
+        assert np.shares_memory(fac.soa, b.data)
+        np.testing.assert_array_equal(fac.soa, ref.soa)
+        np.testing.assert_array_equal(fac.perm, ref.perm)
+
 
 class TestEndToEndSolve:
     def test_solve_matches_numpy(self):

@@ -10,8 +10,7 @@ suite is parameterized over the registry.
 
 The coverage guard (:class:`TestContractCoverage`) closes the loop:
 registering a new backend without declaring its contract row fails the
-suite, which is how this harness gates future backends (the
-``interleaved`` backend landed through it).
+suite, which is how this harness gates future backends.
 
 Run standalone with ``pytest -m conformance``.
 """
@@ -74,22 +73,8 @@ CONTRACT = {
         tol=1e-12,
         invert=True,
     ),
-    "threads": BackendContract(
-        methods=METHODS,
-        exact_methods=("lu", "gh", "ght", "cholesky"),
-        tol=1e-12,
-        invert=True,
-    ),
     "scipy": BackendContract(
         methods=("lu",), exact_methods=(), tol=1e-9, invert=False
-    ),
-    "interleaved": BackendContract(
-        methods=("lu", "gh", "ght"),
-        # LU/TRSV are elementwise in both layouts -> bitwise; the GH
-        # lazy-update/solve einsums accumulate in SoA order -> rounding
-        exact_methods=("lu",),
-        tol=1e-12,
-        invert=True,
     ),
 }
 
@@ -195,7 +180,7 @@ class TestRoundTrip:
 
 class TestInfoMergeOrder:
     """``info`` is reported in *source* block order whatever the
-    backend's execution order (bins, threads, per-block loops)."""
+    backend's execution order (bins, per-block loops)."""
 
     BAD = (2, 9, 17)
 
@@ -220,6 +205,26 @@ class TestInfoMergeOrder:
         )
         assert set(np.nonzero(fac.info)[0]) == set(self.BAD)
         np.testing.assert_array_equal(fac.info, ref.info)
+
+
+class TestNonFinitePivots:
+    """A NaN or +-Inf pivot fails its block on every backend.
+
+    ``scipy`` is the last link of the documented fallback chain
+    ``("numpy", "scipy")``, so a contaminated block rerouted there must
+    not pass as healthy."""
+
+    @pytest.mark.parametrize("name", ALL_BACKENDS)
+    def test_flags_exactly_the_contaminated_blocks(self, name):
+        _skip_unavailable(name)
+        batch = random_batch(4, size=4, kind="diag_dominant", seed=SEED)
+        batch.data[1, 0, 0] = np.nan
+        batch.data[2, 2, 2] = np.inf
+        with np.errstate(all="ignore"):
+            fac = get_backend(name).factorize(
+                plan_batch(batch), on_singular=None
+            )
+        assert np.flatnonzero(fac.info).tolist() == [1, 2], fac.info
 
 
 class TestDegradation:

@@ -51,13 +51,12 @@ class TestBitwiseProperty:
 
 class TestRegistry:
     def test_known_backends_registered(self):
-        for name in ("numpy", "binned", "threads", "scipy",
-                     "interleaved"):
+        for name in ("numpy", "binned", "scipy"):
             assert name in BACKENDS
 
     def test_available_excludes_only_missing_deps(self):
         avail = available_backends()
-        assert {"numpy", "binned", "threads", "interleaved"} <= set(avail)
+        assert {"numpy", "binned"} <= set(avail)
         assert avail == sorted(avail)
 
     def test_get_backend_rejects_unknown(self):
@@ -87,11 +86,3 @@ class TestRegistry:
         batch = random_batch(4, size=4, kind="diag_dominant", seed=0)
         with pytest.raises(ValueError, match="method='lu' only"):
             get_backend("scipy").factorize(plan_batch(batch), method="gh")
-
-    def test_interleaved_backend_rejects_unsupported_methods(self):
-        batch = random_batch(4, size=4, kind="diag_dominant", seed=0)
-        plan = plan_batch(batch)
-        backend = get_backend("interleaved")
-        for method in ("gje", "cholesky"):
-            with pytest.raises(ValueError, match="interleaved"):
-                backend.factorize(plan, method=method)
