@@ -136,13 +136,7 @@ class SetupReport:
         """True when the setup survived an execution fault (backend
         fallback, bin quarantine, or a poisoned cache entry) - distinct
         from *numerical* degradation (``n_fallbacks``)."""
-        if self.runtime is None:
-            return False
-        return bool(
-            self.runtime.fallback_events
-            or self.runtime.quarantined_bins
-            or self.runtime.cache_poisoned
-        )
+        return self.runtime is not None and self.runtime.tainted
 
     @property
     def max_condition(self) -> float:

@@ -221,6 +221,17 @@ class RuntimeReport:
     def total_seconds(self) -> float:
         return float(sum(self.stage_seconds.values()))
 
+    @property
+    def tainted(self) -> bool:
+        """True when the execution survived a fault (backend fallback,
+        bin quarantine, or a poisoned cache entry): the result was
+        repaired, so it is served but never cached."""
+        return bool(
+            self.fallback_events
+            or self.quarantined_bins
+            or self.cache_poisoned
+        )
+
     def to_dict(self) -> dict:
         return to_native(
             {

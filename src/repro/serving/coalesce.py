@@ -159,10 +159,7 @@ class TenantFactorization:
                 f"rhs geometry ({rhs.nb}, {rhs.tile}) does not match the "
                 f"tenant's batch ({self.nb}, {self.tile})"
             )
-        src = self.shared.plan.source
-        data = np.zeros((src.nb, src.tile), dtype=rhs.dtype)
-        data[self.indices, : self.tile] = rhs.data
-        merged = BatchedVectors(data, src.sizes.copy())
+        merged = merge_rhs(self.shared.plan.source, [(self.indices, rhs)])
         out = self.shared.solve(merged)
         sliced = np.ascontiguousarray(
             out.data[self.indices, : self.tile]

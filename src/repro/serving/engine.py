@@ -1,15 +1,22 @@
-"""The coalescing engine: admission, batching, execution, scatter-back.
+"""The coalescing engine: admission, batching, launch, delivery.
 
 :class:`CoalescingEngine` is the synchronous, deterministic core of the
 preconditioner service.  Requests pass **admission** (structured
 rejection on malformed jobs, oversized batches, full queues, or an open
 circuit breaker), then either hit the tenant's factorization cache and
-resolve immediately, or queue for the next **flush**.  A flush merges
+resolve immediately, or queue for the next **flush**.  A flush groups
 every compatible pending request (same method / policy / apply mode /
-dtype) into one identity-padded batch, runs a *single*
-:class:`~repro.runtime.BatchRuntime` factorization per merged chunk,
-and scatters results back to each requester by its segment indices -
-the cross-request form of the paper's launch amortization.
+dtype), chunks each group, and runs every chunk down one straight path
+- the cross-request form of the paper's launch amortization:
+
+* **launch** - merge the chunk into one identity-padded batch and run
+  a *single* :class:`~repro.runtime.BatchRuntime` factorization;
+* **isolate** - under policy ``None``/``"raise"``, fail the requests
+  whose segments hold singular blocks and relaunch the healthy rest
+  once;
+* **deliver** - build per-tenant views, answer every solve with one
+  merged solve, audit deadlines, and resolve each ticket by its
+  segment indices.
 
 The engine is deliberately synchronous and clock-injected: every
 admission decision, flush boundary, and TTL interaction is
@@ -22,7 +29,7 @@ Overload control (all optional, all deterministic under a scripted
 clock): with ``scheduling="edf"`` the flush orders admitted work
 earliest-deadline-first (ties: priority, then arrival), sheds jobs
 already past their deadline before the merged launch, and audits again
-at scatter-back so a response is *never* delivered late - a missed
+at delivery so a response is *never* delivered late - a missed
 deadline becomes a structured ``deadline_exceeded`` rejection instead.
 ``max_flush_blocks`` bounds how many blocks one flush may execute (the
 capacity model that makes backlog dynamics reproducible); the strict
@@ -38,10 +45,9 @@ Fault containment: a flush whose runtime execution was tainted
 still answers its requesters - the runtime already repaired the result
 through quarantine/fallback - but the resulting handles are **never**
 cached into tenant shards, mirroring the runtime's own never-cache-
-tainted rule.  Singular blocks under policy ``None``/``"raise"`` fail
-only the requests that own them; the healthy co-batched requests are
-re-merged and re-factorized once, so one tenant's bad matrix cannot
-fail a neighbour.
+tainted rule.  The isolate stage means one tenant's singular matrix
+cannot fail a neighbour.  Every failed response counts against the
+latency (and, with a deadline, the deadline) objectives.
 """
 
 from __future__ import annotations
@@ -157,10 +163,12 @@ class CoalescingEngine:
     span topology: a short ``serving.admit`` span per submission, a
     detached ``serving.request`` envelope with a ``serving.queue``
     child per queued job, one ``serving.launch`` span per merged
-    chunk carrying **span links** to every merged request (fan-in),
-    and a ``serving.deliver`` span per scatter-back parented under
-    the request and linking back to the launch (fan-out).  Every
-    span carries the request's ``trace_id``.
+    chunk carrying **span links** to every merged request (fan-in;
+    an isolation relaunch nests under the first one with
+    ``rerun=True``), ``serving.coalesce``/``serving.scatter``
+    children per launch, and a ``serving.deliver`` span per delivered
+    request parented under the request and linking back to the launch
+    (fan-out).  Every request-scoped span carries its ``trace_id``.
     """
 
     def __init__(
@@ -303,6 +311,40 @@ class CoalescingEngine:
             or queue_seconds <= slo.threshold
         )
 
+    def _slo_outcome(
+        self, req: Request, ok: bool, at: float, latency_good: bool = True
+    ) -> None:
+        """Feed the per-response objectives; a failed response misses
+        both, whatever its timing."""
+        self._slo_record("admitted_latency", ok and latency_good)
+        if req.deadline is not None:
+            self._slo_record("deadline_hit", ok and at <= req.deadline)
+
+    def _rejection(
+        self,
+        tenant: str,
+        kind: str,
+        reason: str,
+        detail: dict,
+        retry_after: float | None = None,
+        trace_id: str | None = None,
+    ) -> Response:
+        """Count one refusal and build its structured response."""
+        self.stats["rejected"][reason] = (
+            self.stats["rejected"].get(reason, 0) + 1
+        )
+        _count_shed(reason)
+        _count_request(kind, "rejected")
+        return Response(
+            tenant=tenant,
+            kind=kind,
+            status="rejected",
+            rejection=Rejection(
+                reason, detail, retry_after=retry_after, trace_id=trace_id
+            ),
+            trace_id=trace_id,
+        )
+
     def _reject(
         self,
         req: Request,
@@ -311,22 +353,10 @@ class CoalescingEngine:
         at: float | None = None,
         **detail,
     ) -> Ticket:
-        rejection = Rejection(
-            reason, dict(detail), retry_after=retry_after,
-            trace_id=req.trace_id,
+        resp = self._rejection(
+            req.tenant, req.kind, reason, dict(detail),
+            retry_after=retry_after, trace_id=req.trace_id,
         )
-        resp = Response(
-            tenant=req.tenant,
-            kind=req.kind,
-            status="rejected",
-            rejection=rejection,
-            trace_id=req.trace_id,
-        )
-        self.stats["rejected"][reason] = (
-            self.stats["rejected"].get(reason, 0) + 1
-        )
-        _count_shed(reason)
-        _count_request(req.kind, "rejected")
         self._record(
             "shed", at=at, tenant=req.tenant, trace_id=req.trace_id,
             reason=reason, stage=detail.get("stage", "admission"),
@@ -509,10 +539,7 @@ class CoalescingEngine:
             resp.solve_seconds = PERF() - t0
             _observe_stage("solve", resp.solve_seconds)
         self.stats["cache_hits"] += 1
-        if resp.status == "ok":
-            self.stats["completed"] += 1
-        else:
-            self.stats["failed"] += 1
+        self.stats["completed" if resp.status == "ok" else "failed"] += 1
         _count_request(
             req.kind, "cache_hit" if resp.status == "ok" else "failed"
         )
@@ -522,12 +549,8 @@ class CoalescingEngine:
             job=req.kind, cache_hit=True,
         )
         self._slo_record("shed_rate", True)
-        # a cache hit waits for nothing: it always meets the latency SLO
-        self._slo_record("admitted_latency", True)
-        if req.deadline is not None:
-            self._slo_record(
-                "deadline_hit", resp.delivered_at <= req.deadline
-            )
+        # a cache hit waits for nothing: only a failed solve misses
+        self._slo_outcome(req, resp.status == "ok", resp.delivered_at)
         return Ticket(request=req, request_id=-1, response=resp)
 
     # -- flushing ----------------------------------------------------------
@@ -620,10 +643,7 @@ class CoalescingEngine:
             if reroute:
                 self.stats["rerouted"] += len(tickets)
             for chunk in self._chunks(tickets):
-                self._execute_chunk(
-                    chunk, flush_id, now,
-                    runtime=runtime, apply_mode=apply_mode,
-                )
+                self._launch(chunk, flush_id, now, runtime, apply_mode)
         if self.overload is not None:
             self._observe_overload(admitted, deferred, now)
         resolved = [t for t in batch_tickets if t.response is not None]
@@ -718,24 +738,22 @@ class CoalescingEngine:
             chunks.append(current)
         return chunks
 
-    def _execute_chunk(
-        self, chunk: list[Ticket], flush_id: int, now: float,
-        runtime: BatchRuntime | None = None, apply_mode: str | None = None,
+    def _launch(
+        self, tickets: list[Ticket], flush_id: int, now: float,
+        runtime: BatchRuntime, apply_mode: str, *,
+        rerun: bool = False, prior_seconds: float = 0.0,
     ) -> None:
-        """Factorize one merged chunk and scatter results back.
+        """Launch one merged chunk: merge, factorize once, isolate
+        singular segments, then deliver.
 
-        ``runtime``/``apply_mode`` override the engine defaults for
-        brownout lanes (reference reroute, inverse demotion)."""
-        runtime = self.runtime if runtime is None else runtime
-        req0 = chunk[0].request
-        if apply_mode is None:
-            apply_mode = req0.apply_mode
-        policy = req0.on_singular
-        # under None/"raise" the solve kernels refuse a state holding
-        # unresolved singular blocks, so factorize without a policy,
-        # fail exactly the requests owning singular segments, and rerun
-        # the healthy subset once (see _split_singular)
-        effective_policy = None if policy in (None, "raise") else policy
+        Under policy ``None``/``"raise"`` the solve kernels refuse a
+        state holding unresolved singular blocks, so the launch runs
+        without a policy, fails exactly the tickets owning singular
+        segments, and relaunches the healthy rest once (``rerun``).
+        ``runtime``/``apply_mode`` are the chunk's brownout lane
+        (reference reroute, inverse demotion)."""
+        req0 = tickets[0].request
+        isolate = req0.on_singular in (None, "raise")
         tr = get_tracer()
         lspan = None
         if tr.enabled:
@@ -744,197 +762,83 @@ class CoalescingEngine:
             # causes, not children - their lifetimes overlap freely)
             lspan = tr.begin(
                 "serving.launch", cat="serving",
-                flush_id=flush_id, requests=len(chunk),
-                backend=runtime.backend.name, apply_mode=apply_mode,
-            )
-            for t in chunk:
-                lspan.add_link(t.span)
-        try:
-            t0 = PERF()
-            cspan = (
-                tr.begin("serving.coalesce", cat="serving")
-                if tr.enabled
-                else None
-            )
-            merged, segments = merge_batches(
-                [t.request.batch for t in chunk]
-            )
-            if cspan is not None:
-                tr.end(cspan, blocks=int(merged.nb))
-            if lspan is not None:
-                lspan.set(blocks=int(merged.nb))
-            try:
-                handle = runtime.factorize(
-                    merged,
-                    method=req0.method,
-                    on_singular=effective_policy,
-                    use_cache=False,
-                    apply_mode=apply_mode,
-                )
-            except Exception as err:
-                factor_seconds = PERF() - t0
-                for t in chunk:
-                    self._fail(
-                        t, repr(err), flush_id, now,
-                        factor_seconds=factor_seconds,
-                        coalesced=(len(chunk), merged.nb),
-                    )
-                return
-            factor_seconds = PERF() - t0
-            self._execute_chunk_resolved(
-                chunk, segments, merged, handle, effective_policy,
-                req0, flush_id, now, factor_seconds,
-                runtime=runtime, apply_mode=apply_mode, launch=lspan,
-            )
-        finally:
-            if lspan is not None:
-                tr.end(lspan)
-
-    def _execute_chunk_resolved(
-        self, chunk, segments, merged, handle, effective_policy,
-        req0, flush_id, now, factor_seconds, *,
-        runtime, apply_mode, launch,
-    ) -> None:
-        self.stats["executions"] += 1
-        report = runtime.last_report
-        tainted = bool(
-            report is not None
-            and (
-                report.fallback_events
-                or report.quarantined_bins
-                or report.cache_poisoned
-            )
-        )
-        live = list(zip(chunk, segments))
-        if effective_policy is None:
-            live = self._split_singular(
-                live, handle, flush_id, now, factor_seconds,
-                coalesced=(len(chunk), merged.nb),
-            )
-            if live and len(live) < len(chunk):
-                # healthy subset: re-merge and factorize once more so
-                # their solves (and cached handles) are usable
-                self._refactor_healthy(
-                    live, req0, flush_id, now, factor_seconds,
-                    runtime=runtime, apply_mode=apply_mode,
-                )
-                return
-        if live:
-            self._resolve_chunk(
-                live, handle, tainted, flush_id, now, factor_seconds,
-                coalesced=(len(chunk), merged.nb), runtime=runtime,
-                launch=launch,
-            )
-
-    def _split_singular(
-        self, live, handle, flush_id, now, factor_seconds, coalesced
-    ):
-        """Fail requests whose segments hold singular blocks; return
-        the healthy remainder."""
-        healthy = []
-        for t, seg in live:
-            info = handle.info[seg]
-            if np.any(info):
-                self._fail(
-                    t, "singular_blocks", flush_id, now,
-                    factor_seconds=factor_seconds,
-                    coalesced=coalesced,
-                    info=np.ascontiguousarray(info),
-                )
-            else:
-                healthy.append((t, seg))
-        return healthy
-
-    def _refactor_healthy(
-        self, live, req0, flush_id, now, prior_factor_seconds,
-        runtime: BatchRuntime | None = None, apply_mode: str | None = None,
-    ):
-        """Re-merge and factorize the singular-free subset of a chunk."""
-        runtime = self.runtime if runtime is None else runtime
-        if apply_mode is None:
-            apply_mode = req0.apply_mode
-        tickets = [t for t, _ in live]
-        tr = get_tracer()
-        lspan = None
-        if tr.enabled:
-            lspan = tr.begin(
-                "serving.launch", cat="serving",
                 flush_id=flush_id, requests=len(tickets),
                 backend=runtime.backend.name, apply_mode=apply_mode,
-                rerun=True,
+                **({"rerun": True} if rerun else {}),
             )
             for t in tickets:
                 lspan.add_link(t.span)
         try:
             t0 = PERF()
-            merged, segments = merge_batches(
-                [t.request.batch for t in tickets]
-            )
+            with tr.span("serving.coalesce", cat="serving") as cspan:
+                merged, segments = merge_batches(
+                    [t.request.batch for t in tickets]
+                )
+                cspan.set(blocks=int(merged.nb))
             if lspan is not None:
                 lspan.set(blocks=int(merged.nb))
+            coalesced = (len(tickets), merged.nb)
             try:
                 handle = runtime.factorize(
                     merged,
                     method=req0.method,
-                    on_singular=None,
+                    on_singular=None if isolate else req0.on_singular,
                     use_cache=False,
                     apply_mode=apply_mode,
                 )
             except Exception as err:
-                seconds = prior_factor_seconds + (PERF() - t0)
+                seconds = prior_seconds + (PERF() - t0)
                 for t in tickets:
                     self._fail(
-                        t, repr(err), flush_id, now,
-                        factor_seconds=seconds,
-                        coalesced=(len(tickets), merged.nb),
+                        t, repr(err), flush_id, now, seconds, coalesced
                     )
-                return []
-            seconds = prior_factor_seconds + (PERF() - t0)
+                return
+            seconds = prior_seconds + (PERF() - t0)
             self.stats["executions"] += 1
             report = runtime.last_report
-            tainted = bool(
-                report is not None
-                and (
-                    report.fallback_events
-                    or report.quarantined_bins
-                    or report.cache_poisoned
-                )
-            )
-            self._resolve_chunk(
-                list(zip(tickets, segments)), handle, tainted, flush_id,
-                now, seconds, coalesced=(len(tickets), merged.nb),
-                runtime=runtime, launch=lspan,
-            )
-            return []
+            tainted = report is not None and report.tainted
+            live = list(zip(tickets, segments))
+            if isolate:
+                healthy = []
+                for t, seg in live:
+                    info = handle.info[seg]
+                    if np.any(info):
+                        self._fail(
+                            t, "singular_blocks", flush_id, now, seconds,
+                            coalesced, info=np.ascontiguousarray(info),
+                        )
+                    else:
+                        healthy.append((t, seg))
+                if healthy and len(healthy) < len(live) and not rerun:
+                    # re-merge the healthy subset so its solves (and
+                    # cached handles) never ride a singular state
+                    self._launch(
+                        [t for t, _ in healthy], flush_id, now,
+                        runtime, apply_mode,
+                        rerun=True, prior_seconds=seconds,
+                    )
+                    return
+                live = healthy
+            if live:
+                with tr.span(
+                    "serving.scatter", cat="serving", flush_id=flush_id
+                ):
+                    self._deliver(
+                        live, handle, tainted, flush_id, now, seconds,
+                        coalesced, runtime, lspan,
+                    )
         finally:
             if lspan is not None:
                 tr.end(lspan)
 
-    def _resolve_chunk(
-        self, live, handle, tainted, flush_id, now, factor_seconds,
-        coalesced, runtime: BatchRuntime | None = None, launch=None,
-    ) -> None:
-        """Build tenant views, cache them, answer solves, resolve."""
-        runtime = self.runtime if runtime is None else runtime
-        tr = get_tracer()
-        sspan = (
-            tr.begin("serving.scatter", cat="serving", flush_id=flush_id)
-            if tr.enabled
-            else None
-        )
-        try:
-            self._scatter_back(
-                live, handle, tainted, flush_id, now, factor_seconds,
-                coalesced, runtime, launch,
-            )
-        finally:
-            if sspan is not None:
-                tr.end(sspan)
-
-    def _scatter_back(
+    def _deliver(
         self, live, handle, tainted, flush_id, now, factor_seconds,
         coalesced, runtime, launch,
     ) -> None:
+        """Scatter one launch back: tenant views (shard-cached unless
+        the launch was tainted), one merged solve, the deadline audit,
+        then each ticket's response."""
+        tr = get_tracer()
         n_requests, n_blocks = coalesced
         self.stats["requests_executed"] += len(live)
         self.stats["blocks_executed"] += sum(
@@ -996,7 +900,6 @@ class CoalescingEngine:
                 solve_error = repr(err)
             solve_seconds = PERF() - t0
             _observe_stage("solve", solve_seconds)
-        tr = get_tracer()
         delivered = self._clock()
         for (t, seg), tfac in zip(live, views):
             req = t.request
@@ -1007,7 +910,7 @@ class CoalescingEngine:
                 and req.deadline is not None
                 and delivered > req.deadline
             ):
-                # scatter-back audit: the answer exists but arrived
+                # delivery audit: the answer exists but arrived
                 # late - never deliver it past the deadline
                 self.stats["late_deliveries_prevented"] += 1
                 self._record(
@@ -1055,33 +958,24 @@ class CoalescingEngine:
                     resp.error = solve_error or "solve_failed"
                 else:
                     resp.solution = sol
-            if resp.status == "ok":
-                self.stats["completed"] += 1
-            else:
-                self.stats["failed"] += 1
+            ok = resp.status == "ok"
+            self.stats["completed" if ok else "failed"] += 1
             _count_request(req.kind, resp.status)
             t.response = resp
-            self._slo_record(
-                "admitted_latency",
-                self._latency_good(queue_seconds),
+            self._slo_outcome(
+                req, ok, delivered, self._latency_good(queue_seconds)
             )
-            if req.deadline is not None:
-                self._slo_record(
-                    "deadline_hit", delivered <= req.deadline
-                )
             if dspan is not None:
                 dspan.finish(status=resp.status)
             if t.span is not None:
                 t.span.finish(
-                    outcome=(
-                        "delivered" if resp.status == "ok" else "failed"
-                    ),
+                    outcome="delivered" if ok else "failed",
                 )
                 t.span = None
 
     def _fail(
-        self, ticket, error, flush_id, now, *, factor_seconds=0.0,
-        coalesced=(0, 0), info=None,
+        self, ticket, error, flush_id, now, factor_seconds, coalesced,
+        info=None,
     ) -> None:
         req = ticket.request
         queue_seconds = max(0.0, now - ticket.submitted_at)
@@ -1107,9 +1001,7 @@ class CoalescingEngine:
             tenant=req.tenant, trace_id=req.trace_id,
             error=error,
         )
-        if ticket.queue_span is not None:
-            ticket.queue_span.finish()
-            ticket.queue_span = None
+        self._slo_outcome(req, False, now)
         if ticket.span is not None:
             ticket.span.finish(outcome="failed", error=error)
             ticket.span = None
@@ -1123,31 +1015,11 @@ class CoalescingEngine:
         sides - the repeated-apply half of the preconditioner life
         cycle, no queueing involved."""
         if self._closed:
-            self.stats["rejected"]["not_running"] = (
-                self.stats["rejected"].get("not_running", 0) + 1
-            )
-            _count_shed("not_running")
-            _count_request("apply", "rejected")
-            return Response(
-                tenant=tenant,
-                kind="apply",
-                status="rejected",
-                rejection=Rejection("not_running"),
-            )
+            return self._rejection(tenant, "apply", "not_running", {})
         if handle.tenant != tenant:
-            self.stats["rejected"]["foreign_handle"] = (
-                self.stats["rejected"].get("foreign_handle", 0) + 1
-            )
-            _count_shed("foreign_handle")
-            _count_request("apply", "rejected")
-            return Response(
-                tenant=tenant,
-                kind="apply",
-                status="rejected",
-                rejection=Rejection(
-                    "foreign_handle",
-                    {"owner": handle.tenant, "caller": tenant},
-                ),
+            return self._rejection(
+                tenant, "apply", "foreign_handle",
+                {"owner": handle.tenant, "caller": tenant},
             )
         t0 = PERF()
         try:

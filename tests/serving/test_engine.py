@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from repro.chaos import ChaosBackend, RaiseInjector
+from repro.obs.flight import FlightRecorder
+from repro.obs.slo import SLOEngine, default_serving_slos
 from repro.runtime import BatchRuntime
 from repro.runtime.backends import get_backend
 from repro.serving import (
@@ -15,6 +17,7 @@ from repro.serving import (
     ScriptedClock,
     TenantCacheShards,
 )
+from repro.telemetry import tracing
 from tests.strategies import make_batch, make_rhs
 
 
@@ -27,6 +30,31 @@ def solve_request(tenant, nb=3, max_size=12, seed=0, **kw):
         rhs=make_rhs(batch, seed=seed + 1000),
         **kw,
     )
+
+
+def fail_after(monkeypatch, obj, name, calls_ok=0):
+    """Make ``obj.<name>`` raise ``RuntimeError("<name> down")`` once
+    ``calls_ok`` calls have gone through; returns the call log."""
+    real = getattr(obj, name)
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(name)
+        if len(calls) > calls_ok:
+            raise RuntimeError(f"{name} down")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(obj, name, wrapped)
+    return calls
+
+
+def assert_resolved_once(eng, tickets, responses):
+    """This flush answered every ticket, each exactly once."""
+    assert all(t.done for t in tickets)
+    assert sorted(r.request_id for r in responses) == sorted(
+        t.request_id for t in tickets
+    )
+    assert eng.stats["completed"] + eng.stats["failed"] == len(tickets)
 
 
 class TestAdmission:
@@ -219,6 +247,60 @@ class TestSingularIsolation:
         np.testing.assert_array_equal(
             solo.solve(good.rhs).data, good_resp.solution.data
         )
+        # the first launch plus one healthy-subset rerun
+        assert eng.stats["executions"] == 2
+
+    def test_rerun_launch_links_only_healthy_requests(self):
+        eng = CoalescingEngine()
+        with tracing() as tr:
+            eng.submit(self._singular_request("bad", seed=2))
+            eng.submit(solve_request("good", seed=1))
+            eng.flush()
+        spans = tr.spans()
+        envelopes = {
+            s.attrs["tenant"]: s.span_id
+            for s in spans
+            if s.name == "serving.request"
+        }
+        first, rerun = sorted(
+            (s for s in spans if s.name == "serving.launch"),
+            key=lambda s: s.span_id,
+        )
+        assert "rerun" not in first.attrs
+        assert set(first.links) == set(envelopes.values())
+        assert rerun.attrs["rerun"] is True
+        assert rerun.attrs["requests"] == 1
+        assert rerun.links == [envelopes["good"]]
+        assert rerun.parent_id == first.span_id
+        # the rerun gets its own coalesce/scatter children; delivery
+        # links back to the launch that produced the answer
+        children = {s.name for s in spans if s.parent_id == rerun.span_id}
+        assert {"serving.coalesce", "serving.scatter"} <= children
+        (deliver,) = [s for s in spans if s.name == "serving.deliver"]
+        assert deliver.links == [rerun.span_id]
+
+    def test_rerun_factorize_failure_fails_healthy_subset(
+        self, monkeypatch
+    ):
+        rt = BatchRuntime(cache=False)
+        calls = fail_after(monkeypatch, rt, "factorize", calls_ok=1)
+        eng = CoalescingEngine(runtime=rt)
+        tickets = [
+            eng.submit(self._singular_request("bad", seed=2)),
+            eng.submit(solve_request("good-0", seed=1)),
+            eng.submit(solve_request("good-1", seed=3)),
+        ]
+        responses = eng.flush()
+        assert calls == ["factorize", "factorize"]
+        bad, *good = tickets
+        assert bad.response.error == "singular_blocks"
+        assert bad.response.info[1] > 0
+        for t in good:
+            assert t.response.status == "failed"
+            assert t.response.error == repr(RuntimeError("factorize down"))
+            assert t.response.coalesced_requests == 2
+        assert eng.stats["executions"] == 1
+        assert_resolved_once(eng, tickets, responses)
 
     def test_substitution_policy_degrades_in_place(self):
         eng = CoalescingEngine()
@@ -231,6 +313,87 @@ class TestSingularIsolation:
         deg = resp.handle.shared.degradation
         assert deg is not None
         assert deg.original_info[resp.handle.indices].sum() > 0
+
+
+class TestLaunchFailures:
+    def test_factorize_failure_fails_whole_chunk(self, monkeypatch):
+        rt = BatchRuntime(cache=False)
+        fail_after(monkeypatch, rt, "factorize")
+        eng = CoalescingEngine(runtime=rt)
+        tickets = [
+            eng.submit(solve_request(f"t{i}", seed=i)) for i in range(3)
+        ]
+        responses = eng.flush()
+        for resp in responses:
+            assert resp.status == "failed"
+            assert resp.error == repr(RuntimeError("factorize down"))
+            assert resp.coalesced_requests == 3
+        assert eng.stats["executions"] == 0
+        assert eng.stats["failed"] == 3
+        assert_resolved_once(eng, tickets, responses)
+
+    def test_merged_solve_failure_spares_setup_jobs(self, monkeypatch):
+        rt = BatchRuntime(cache=False)
+        fail_after(monkeypatch, rt, "solve")
+        eng = CoalescingEngine(runtime=rt)
+        batch = make_batch(3, 8, seed=5, dominant=True)
+        setup = eng.submit(Request(tenant="s", batch=batch, kind="setup"))
+        solves = [
+            eng.submit(solve_request(f"v{i}", seed=6 + i)) for i in range(2)
+        ]
+        responses = eng.flush()
+        assert setup.response.status == "ok"
+        assert setup.response.handle is not None
+        for t in solves:
+            assert t.response.status == "failed"
+            assert t.response.error == repr(RuntimeError("solve down"))
+            assert t.response.solution is None
+        assert eng.stats["executions"] == 1
+        assert eng.stats["completed"] == 1
+        assert_resolved_once(eng, [setup, *solves], responses)
+
+
+class TestFailureSLOs:
+    """A failed response counts against the latency objective (and
+    the deadline objective when it carries a deadline)."""
+
+    def _engine(self, runtime, **kw):
+        clock = ScriptedClock()
+        slo = SLOEngine(default_serving_slos(), clock=clock)
+        eng = CoalescingEngine(runtime=runtime, clock=clock, slo=slo, **kw)
+        return eng, slo, clock
+
+    def test_factorize_storm_burns_the_error_budget(self, monkeypatch):
+        rt = BatchRuntime(cache=False)
+        fail_after(monkeypatch, rt, "factorize")
+        eng, slo, clock = self._engine(rt)
+        for i in range(12):
+            eng.submit(
+                solve_request(f"t{i}", seed=i, deadline=clock() + 60.0)
+            )
+        responses = eng.flush()
+        assert [r.status for r in responses] == ["failed"] * 12
+        snap = slo.snapshot()["slos"]
+        for name in ("admitted_latency", "deadline_hit"):
+            assert (snap[name]["total"], snap[name]["bad"]) == (12, 12)
+        assert snap["shed_rate"]["bad"] == 0
+        assert set(slo.firing()) == {"admitted_latency", "deadline_hit"}
+
+    def test_failed_cache_hit_misses_latency(self, monkeypatch):
+        eng, slo, clock = self._engine(
+            BatchRuntime(cache=False), shards=TenantCacheShards()
+        )
+        req = solve_request("t", seed=1, deadline=clock() + 60.0)
+        eng.submit(req)
+        first = eng.flush()[0]
+        assert first.status == "ok"
+        fail_after(monkeypatch, first.handle.shared, "solve")
+        again = eng.submit(req)
+        assert again.response.cache_hit
+        assert again.response.status == "failed"
+        snap = slo.snapshot()["slos"]
+        for name in ("admitted_latency", "deadline_hit"):
+            assert (snap[name]["total"], snap[name]["bad"]) == (2, 1)
 
 
 class TestTenantCaching:
@@ -295,6 +458,23 @@ class TestApply:
         eng.close()
         out = eng.apply("t", resp.handle, req.rhs)
         assert out.rejection.reason == "not_running"
+
+    def test_apply_rejections_record_no_flight_or_slo_events(self):
+        clock = ScriptedClock()
+        slo = SLOEngine(default_serving_slos(), clock=clock)
+        rec = FlightRecorder(capacity=64, clock=clock)
+        eng = CoalescingEngine(clock=clock, slo=slo, flight=rec)
+        req = solve_request("owner", seed=1)
+        eng.submit(req)
+        resp = eng.flush()[0]
+        before = (rec.counts(), slo.snapshot()["slos"])
+        assert eng.apply("thief", resp.handle, req.rhs).status == "rejected"
+        eng.close()
+        assert eng.apply("owner", resp.handle, req.rhs).status == "rejected"
+        assert (rec.counts(), slo.snapshot()["slos"]) == before
+        assert eng.stats["rejected"] == {
+            "foreign_handle": 1, "not_running": 1,
+        }
 
     def test_apply_geometry_failure_is_structured(self):
         eng = CoalescingEngine()
