@@ -41,7 +41,7 @@ hand over a transposed copy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
@@ -91,6 +91,10 @@ class LUFactors:
     degradation:
         Singular-block substitution record when ``lu_factor`` was
         called with an ``on_singular`` policy; None otherwise.
+
+    The first ``lu_solve(..., "blocked")`` caches its inverted-band
+    plan on the factorization (see :mod:`repro.core.batched_trsv`);
+    writing to :attr:`soa` afterwards leaves that plan stale.
     """
 
     soa: np.ndarray
@@ -99,6 +103,9 @@ class LUFactors:
     sizes: np.ndarray
     pivoting: Pivoting = "implicit"
     degradation: DegradationRecord | None = None
+    _blocked_plan: object = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def factors(self) -> BatchedMatrices:

@@ -16,11 +16,11 @@ metrology of this package and aggregates structured pass/fail findings:
     tie-breaking or padding handling would surface.
 
 ``backward_error``
-    Every backward-stable pipeline (LU implicit/explicit, GH, GH-T)
-    achieves a normwise backward error below ``C m rho eps`` per block
-    (Higham Thm. 9.6 shape: the bound must scale with the *measured*
-    growth ``rho``, which is what keeps the Wilkinson batch honest
-    rather than excluded).
+    Every backward-stable pipeline (LU implicit/explicit, the blocked
+    LU solve, GH, GH-T) achieves a normwise backward error below
+    ``C m rho eps`` per block (Higham Thm. 9.6 shape: the bound must
+    scale with the *measured* growth ``rho``, which is what keeps the
+    Wilkinson batch honest rather than excluded).
 
 ``factorization``
     ``||PA - LU||_F / ||A||_F <= C m rho eps`` per block.
@@ -212,7 +212,9 @@ def _check_pivot_equivalence(sweep) -> CheckResult:
 def _stable_solutions(batch, rhs):
     """Per-pipeline solutions of the backward-stable family."""
     out = {}
-    out["lu"] = lu_solve(lu_factor(batch, pivoting="implicit"), rhs)
+    fac = lu_factor(batch, pivoting="implicit")
+    out["lu"] = lu_solve(fac, rhs)
+    out["lu_blocked"] = lu_solve(fac, rhs, "blocked")
     out["lu_explicit"] = lu_solve(lu_factor(batch, pivoting="explicit"), rhs)
     out["gh"] = gh_solve(gh_factor(batch, transposed=False), rhs)
     out["ght"] = gh_solve(gh_factor(batch, transposed=True), rhs)

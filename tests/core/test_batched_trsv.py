@@ -1,5 +1,7 @@
 """Unit tests for the batched triangular solves (repro.core.batched_trsv)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,16 @@ from repro.core import (
     upper_solve,
 )
 from repro.core.validation import max_relative_error, solve_residuals
+from tests.core.test_golden_fixtures import (
+    CLEAN_POLICIES,
+    FIXTURE,
+    POLICIES,
+    TILES,
+)
 from tests.strategies import batch_shapes, make_batch, make_rhs, seeds
+
+#: every ``lu_solve`` variant; ``"blocked"`` exists only there
+LU_VARIANTS = ("eager", "lazy", "blocked")
 
 
 def _lower_batch(nb=16, tile=16, seed=0):
@@ -51,6 +62,13 @@ class TestLowerUnitSolve:
         with pytest.raises(ValueError):
             lower_unit_solve(b, random_rhs(b), variant="magic")
 
+    @pytest.mark.parametrize("solve", [lower_unit_solve, upper_solve])
+    def test_blocked_variant_rejected(self, solve):
+        # the blocked plan lives on an LUFactors; a bare triangle has none
+        b = _lower_batch()
+        with pytest.raises(ValueError, match="lu_solve"):
+            solve(b, random_rhs(b), variant="blocked")
+
     def test_overwrite_flag(self):
         b = _lower_batch(seed=3)
         rhs = random_rhs(b)
@@ -80,7 +98,7 @@ class TestUpperSolve:
 
 
 class TestGetrs:
-    @pytest.mark.parametrize("variant", ["eager", "lazy"])
+    @pytest.mark.parametrize("variant", LU_VARIANTS)
     def test_full_pipeline_variable_sizes(self, variant):
         b = random_batch(60, (1, 32), kind="uniform", seed=5)
         rhs = random_rhs(b)
@@ -90,15 +108,19 @@ class TestGetrs:
     def test_padding_entries_stay_zero(self):
         b = random_batch(20, (2, 10), kind="diag_dominant", seed=6, tile=16)
         rhs = random_rhs(b)
-        x = lu_solve(lu_factor(b), rhs)
-        mask = x.row_mask()
-        assert (x.data[~mask] == 0).all()
+        fac = lu_factor(b)
+        for variant in LU_VARIANTS:
+            x = lu_solve(fac, rhs, variant)
+            mask = x.row_mask()
+            assert (x.data[~mask] == 0).all(), variant
 
     def test_refuses_singular_factorization(self):
         b = random_batch(4, 8, kind="singular", seed=7)
         fac = lu_factor(b)
-        with pytest.raises(ValueError, match="singular"):
-            lu_solve(fac, random_rhs(b))
+        for variant in LU_VARIANTS:
+            with pytest.raises(ValueError, match="singular"):
+                lu_solve(fac, random_rhs(b), variant)
+        assert fac._blocked_plan is None
 
     def test_permutation_is_fused_not_applied_twice(self):
         # Build a matrix requiring a known swap and check the solution,
@@ -112,9 +134,30 @@ class TestGetrs:
     def test_float32(self):
         b = random_batch(16, 16, kind="diag_dominant", seed=8, dtype=np.float32)
         rhs = random_rhs(b)
-        x = lu_solve(lu_factor(b), rhs)
-        assert x.dtype == np.float32
-        assert solve_residuals(b, x, rhs).max() < 1e-4
+        fac = lu_factor(b)
+        for variant in LU_VARIANTS:
+            x = lu_solve(fac, rhs, variant)
+            assert x.dtype == np.float32, variant
+            assert solve_residuals(b, x, rhs).max() < 1e-4, variant
+
+    def test_blocked_plan_built_once_and_reused(self):
+        b = random_batch(12, (3, 32), kind="uniform", seed=9)
+        fac = lu_factor(b)
+        assert fac._blocked_plan is None
+        lu_solve(fac, random_rhs(b, seed=1), "blocked")
+        plan = fac._blocked_plan
+        assert plan is not None
+        x2 = lu_solve(fac, random_rhs(b, seed=2), "blocked")
+        assert fac._blocked_plan is plan
+        # tile 32 -> two 16-row bands per triangle
+        assert [len(steps) for steps in plan[1:]] == [2, 2]
+        # private cache: not part of the dataclass's repr or equality
+        cache = {f.name: f for f in dataclasses.fields(fac)}["_blocked_plan"]
+        assert not (cache.init or cache.repr or cache.compare)
+        fresh = lu_factor(b)
+        np.testing.assert_array_equal(
+            lu_solve(fresh, random_rhs(b, seed=2), "blocked").data, x2.data
+        )
 
 
 # -- eager/lazy equivalence properties (hypothesis) -------------------------
@@ -171,14 +214,17 @@ def test_zero_diagonal_infnan_patterns_match_property(shape, seed, zero_at):
     assert gap < 1e-12 * scale
 
 
-@pytest.mark.parametrize("variant", ["eager", "lazy"])
+@pytest.mark.parametrize("variant", LU_VARIANTS)
 def test_empty_batch_and_size_one_blocks(variant):
-    """nb = 0 and all-size-1 batches pass through both variants."""
+    """nb = 0 and all-size-1 batches pass through every variant."""
     empty = BatchedMatrices(np.zeros((0, 4, 4)), np.zeros(0, dtype=np.int64))
     erhs = BatchedVectors(np.zeros((0, 4)), np.zeros(0, dtype=np.int64))
-    for solve in (lower_unit_solve, upper_solve):
-        out = solve(empty, erhs, variant=variant)
-        assert out.data.shape == (0, 4)
+    if variant != "blocked":
+        for solve in (lower_unit_solve, upper_solve):
+            out = solve(empty, erhs, variant=variant)
+            assert out.data.shape == (0, 4)
+    out = lu_solve(lu_factor(empty), erhs, variant=variant)
+    assert out.data.shape == (0, 4)
 
     ones = random_batch(5, 1, kind="diag_dominant", seed=0)
     rhs = random_rhs(ones)
@@ -187,3 +233,44 @@ def test_empty_batch_and_size_one_blocks(variant):
         np.testing.assert_allclose(
             x.vector(i), rhs.vector(i) / ones.block(i)[0, 0], rtol=1e-15
         )
+
+
+# -- blocked vs the frozen eager solutions ----------------------------------
+
+#: per-block normwise bound of blocked against the frozen eager solves
+BLOCKED_GOLDEN_RTOL = 1e-12
+
+
+@pytest.mark.parametrize("pivoting", ["implicit", "explicit"])
+@pytest.mark.parametrize("tile", TILES)
+def test_blocked_matches_golden_eager_solutions(tile, pivoting):
+    """On every healthy (or repaired) factorization of the golden
+    batches, the blocked solve agrees with the frozen ``x_eager``."""
+    with np.load(FIXTURE) as golden:
+        golden = {k: golden[k] for k in golden.files}
+    checked = 0
+    for name in ("mixed", "clean"):
+        pre = f"{tile}/{name}"
+        A, sizes = golden[f"{pre}/A"], golden[f"{pre}/sizes"]
+        rhs = BatchedVectors(golden[f"{pre}/b"], sizes)
+        policies = POLICIES if name == "mixed" else CLEAN_POLICIES
+        for policy in policies:
+            key = f"{pre}/lu-{pivoting}/{policy}/x_eager"
+            if key not in golden:
+                continue
+            with np.errstate(all="ignore"):
+                fac = lu_factor(
+                    BatchedMatrices(A.copy(), sizes),
+                    pivoting=pivoting,
+                    on_singular=policy,
+                )
+            want = golden[key]
+            got = lu_solve(fac, rhs, "blocked").data
+            assert np.isfinite(got).all(), key
+            err = np.abs(got - want).max(axis=1)
+            scale = np.abs(want).max(axis=1)
+            assert (err <= BLOCKED_GOLDEN_RTOL * scale).all(), (
+                f"{key}: normwise relative difference {(err / scale).max()}"
+            )
+            checked += 1
+    assert checked >= 2  # the clean batch under None and "raise"
