@@ -4,11 +4,14 @@ The implicit scheme exists because explicit row swaps keep 30 of 32
 lanes idle; no pivoting would be fastest but is numerically unsafe.
 This harness verifies the three-way trade-off:
 
-* implicit == explicit numerically (identical factors and pivots);
+* implicit == explicit bitwise (identical factors, pivots and info);
 * no-pivoting explodes the growth factor on graded matrices;
-* on the CPU reference, implicit avoids the explicit data movement
-  (the GPU benefit is far larger; the SIMT counters quantify the
-  removed shuffle traffic).
+* the GPU benefit of implicit pivoting is counted by the SIMT
+  simulator: its warp LU issues no row-exchange shuffles.  The NumPy
+  core behind ``pivoting="implicit"`` swaps rows (one gather/scatter
+  per step over the interleaved batch, cheaper on a CPU than the
+  masked full-height update of the marking scheme), so its CPU time
+  says nothing about the GPU trade-off.
 """
 
 from __future__ import annotations
@@ -60,8 +63,9 @@ def test_pivoting_equivalence(benchmark):
     batch = random_batch(128, (2, 32), kind="uniform", seed=8)
     fi = lu_factor(batch, pivoting="implicit")
     fe = lu_factor(batch, pivoting="explicit")
+    np.testing.assert_array_equal(fi.soa, fe.soa)
     np.testing.assert_array_equal(fi.perm, fe.perm)
-    np.testing.assert_allclose(fi.factors.data, fe.factors.data, atol=1e-14)
+    np.testing.assert_array_equal(fi.info, fe.info)
 
 
 def test_pivoting_swap_traffic_counts(benchmark):

@@ -50,9 +50,9 @@ def main() -> None:
     print(f"max relative residual over the batch: {res.max():.2e}")
     assert res.max() < 1e-10
 
-    # 5. the implicit-pivoting record of block 0: a permutation that was
-    # applied once, fused with the factor off-load - no row was ever
-    # swapped during the elimination itself (Section III-A)
+    # 5. the pivoting record of block 0: the gather permutation with
+    # P A = L U; the warp kernel applies it once, fused with the factor
+    # off-load (Section III-A), and gets the same factors bit for bit
     print(f"block 0 (size {sizes[0]}) pivot permutation: "
           f"{fac.perm[0][: sizes[0]]}")
     print("quickstart OK")

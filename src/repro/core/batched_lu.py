@@ -7,13 +7,17 @@ independent small matrices, with *implicit* partial pivoting.
 Three algorithmic variants are provided:
 
 ``lu_factor(..., pivoting="implicit")``
-    Figure 1 (bottom): pivot rows are marked instead of swapped; every
-    unpivoted row performs the same SCAL/GER work regardless of its
-    position, and a single combined row permutation is applied after the
-    main loop, fused with the factor off-load.  This is the variant the
-    CUDA kernel uses because it removes all inter-thread row traffic.
-    It sweeps the interleaved ``(tile, tile, nb)`` layout (see
-    :mod:`repro.core.batch`), so each step touches contiguous
+    The paper's default.  Its CUDA kernel marks pivot rows instead of
+    swapping them (Figure 1, bottom): every unpivoted row does the same
+    SCAL/GER work, and one combined permutation is applied at the
+    off-load, which removes all inter-thread row traffic.  The SIMT
+    kernel (:mod:`repro.gpu.kernels.lu`) keeps that scheme.  On the CPU
+    the marks would force a masked full-height update per step, so this
+    NumPy core swaps rows (one gather/scatter over the batch) and
+    updates only the trailing submatrix.  Every row sees the same IEEE
+    operations in the same order under both schemes, and tests pin the
+    two bitwise.  It sweeps the interleaved ``(tile, tile, nb)`` layout
+    (see :mod:`repro.core.batch`), so each step touches contiguous
     length-``nb`` vectors.
 
 ``lu_factor(..., pivoting="explicit")``
@@ -58,7 +62,7 @@ from .degradation import (
     OnSingular,
     substitute_singular_blocks,
 )
-from .pivoting import identity_perms, invert_perms, steps_to_perm
+from .pivoting import identity_perms, invert_perms
 
 __all__ = ["LUFactors", "lu_factor", "lu_reconstruct"]
 
@@ -224,64 +228,48 @@ def lu_factor(
 
 
 def _factor_implicit(A: np.ndarray):
-    """Implicit-pivoting LU (Figure 1, bottom), vectorised over the batch.
+    """Right-looking LU with row swaps on the interleaved layout.
 
-    Every elimination step selects the pivot row by a masked column
-    argmax (the warp kernel uses a shuffle reduction with the same
-    lowest-index tie break), marks it, and updates *all* still-unpivoted
-    rows.  No row ever moves until the single gather at the end.  The
-    sweep runs on an interleaved copy ``S`` of the AoS input ``A``
-    (which is left untouched): each step's SCAL writes one contiguous
-    ``nb``-vector and the GER updates ``tile - k - 1`` of them.
+    The sweep runs on an interleaved copy ``S`` of the AoS input ``A``
+    (which is left untouched).  Step ``k`` picks the pivot among rows
+    ``k..`` of column ``k``, swaps it into row ``k`` of every block with
+    one gather/scatter, scales the ``nb``-vectors below it, and applies
+    the rank-1 update to the trailing ``S[k+1:, k+1:]`` only: no masks
+    and no work on finished rows.  Every row sees the same IEEE
+    operations in the same order as under Figure 1's marking scheme,
+    which the SIMT kernel keeps, so the two agree bitwise, as does the
+    AoS ``"explicit"`` oracle.
     """
     S = aos_to_soa(A)
     tile, _, nb = S.shape
     barange = np.arange(nb)
-    steps = np.full((nb, tile), -1, dtype=np.int64)
-    pivoted = np.zeros((tile, nb), dtype=bool)
-    info = np.zeros(nb, dtype=np.int64)
+    pos = identity_perms(nb, tile).T.copy()  # pos[r, b]: original row at r
+    singular = np.empty((tile, nb), dtype=bool)  # per step: pivot 0/NaN/Inf
     for k in range(tile):
-        # -- pivot selection (lines 6-9): masked argmax over column k.
-        col = np.abs(S[:, k, :])
-        col[pivoted] = -1.0  # exclude rows already chosen as pivots
-        # NaN candidates would win argmax (NumPy treats NaN as maximal)
-        # and be selected *silently* with info == 0; map them to +inf so
-        # the lowest contaminated row wins deterministically (matching
-        # the explicit variant's tie break) and flag it below.
+        # -- pivot search over rows k..: NaN maps to +inf, so a
+        # contaminated row wins deterministically and is flagged below;
+        # exact ties break to the lowest ORIGINAL row, as in the
+        # marking scheme (whose rows never move).
+        col = np.abs(S[k:, k, :])
         np.copyto(col, np.inf, where=np.isnan(col))
-        ipiv = col.argmax(axis=0)
-        pivot_val = S[ipiv, k, barange]
-        steps[barange, ipiv] = k
-        pivoted[ipiv, barange] = True
-        singular = (pivot_val == 0) | ~np.isfinite(pivot_val)
-        np.copyto(info, k + 1, where=(info == 0) & singular)
-        # -- Gauss transformation (lines 12-15) on unpivoted rows only.
-        # Padding rows are unpivoted during the first `size` steps but
-        # hold exact zeros in the active columns, so the update is a
-        # numerical no-op for them - no size bookkeeping is needed here.
-        update = ~pivoted
-        inv_pivot = np.ones_like(pivot_val)
-        np.divide(1.0, pivot_val, out=inv_pivot, where=~singular)
-        scal = S[:, k, :]
-        np.multiply(
-            scal,
-            inv_pivot[None, :],
-            out=scal,
-            where=update & ~singular[None, :],
-        )
-        if k + 1 < tile:
-            pivot_row = S[ipiv, k + 1 :, barange].T  # (tile-k-1, nb)
-            trailing = S[:, k + 1 :, :]
-            np.subtract(
-                trailing,
-                scal[:, None, :] * pivot_row[None, :, :],
-                out=trailing,
-                where=update[:, None, :],
-            )
-    # -- combined row swap, fused with the off-load (lines 17-19).
-    perm = steps_to_perm(steps)
-    out = S[perm.T[:, None, :], np.arange(tile)[None, :, None], barange]
-    return out, perm, info
+        tied = col == col.max(axis=0)
+        ipiv = k + np.where(tied, pos[k:], tile).argmin(axis=0)
+        # -- swap rows k and ipiv of every block (whole rows: LAPACK
+        # layout keeps the multipliers with their row).
+        rows = S[ipiv, :, barange]
+        S[ipiv, :, barange] = S[k].T
+        S[k] = rows.T
+        pk = pos[k].copy()
+        pos[k] = pos[ipiv, barange]
+        pos[ipiv, barange] = pk
+        # -- SCAL + GER.  A singular pivot scales by 1.0 (exact), which
+        # leaves its column as LAPACK does, without a mask.
+        pivot = S[k, k]
+        np.logical_or(pivot == 0, ~np.isfinite(pivot), out=singular[k])
+        S[k + 1 :, k] *= 1.0 / np.where(singular[k], 1.0, pivot)
+        S[k + 1 :, k + 1 :] -= S[k + 1 :, k, None] * S[k, None, k + 1 :]
+    info = np.where(singular.any(axis=0), singular.argmax(axis=0) + 1, 0)
+    return S, pos.T.copy(), info
 
 
 def _factor_explicit(A: np.ndarray):

@@ -35,7 +35,8 @@ are already pivoted).  This is the inverted-diagonal-block triangular
 solve of GPU sparse solvers (Chen, Liu and Yang) on the batched small
 GEMV of Jhurani and Mullowney.  It agrees with the eager sweeps to
 rounding, not bitwise: the dot products it accumulates run over whole
-bands.
+bands.  :func:`lu_solve_many` runs the same plan against ``k``
+right-hand sides per block, one batched GEMM per band.
 
 All solves run uniform ``tile``-step loops; the identity padding of the
 factors makes the padded steps numerically inert (multiplying zeros /
@@ -57,6 +58,7 @@ __all__ = [
     "lower_unit_solve",
     "upper_solve",
     "lu_solve",
+    "lu_solve_many",
 ]
 
 Variant = Literal["eager", "lazy", "blocked"]
@@ -71,6 +73,15 @@ def _check_pair(mats, rhs: BatchedVectors) -> None:
         raise ValueError(
             f"batch mismatch: matrices {mats.nb}x{mats.tile} vs "
             f"vectors {rhs.nb}x{rhs.tile}"
+        )
+
+
+def _require_ok(fac: LUFactors) -> None:
+    if not fac.ok:
+        bad = int(np.count_nonzero(fac.info))
+        raise ValueError(
+            f"lu_solve called on a factorization with {bad} singular "
+            "block(s); inspect LUFactors.info"
         )
 
 
@@ -190,14 +201,17 @@ def _band_plan(fac: LUFactors):
 
 
 def _blocked_solve(fac: LUFactors, b: np.ndarray) -> np.ndarray:
-    """``U^{-1} L^{-1} P b`` for AoS ``b`` ``(nb, tile)``, blocked."""
+    """``U^{-1} L^{-1} P b`` for AoS ``b``, blocked: ``b`` is
+    ``(nb, tile)``, or ``(nb, tile, k)`` for ``k`` right-hand sides per
+    block, which turns every band GEMV into a GEMM."""
     gather, lower, upper = _band_plan(fac)
-    x = np.take(b, gather)
+    k = b.shape[2] if b.ndim == 3 else 1
+    x = np.take(b.reshape(gather.size, k), gather, axis=0)
     for s, e, W in lower:
-        x[:, s:e] = np.matmul(W, x[:, :e, None])[..., 0]
+        x[:, s:e] = np.matmul(W, x[:, :e])
     for s, e, W in upper:
-        x[:, s:e] = np.matmul(W, x[:, s:, None])[..., 0]
-    return x
+        x[:, s:e] = np.matmul(W, x[:, s:])
+    return x.reshape(b.shape)
 
 
 def _triangular_solve(
@@ -289,12 +303,7 @@ def lu_solve(
         If any block was flagged singular at factorization time
         (``fac.info != 0``); solving such a system is meaningless.
     """
-    if not fac.ok:
-        bad = int(np.count_nonzero(fac.info))
-        raise ValueError(
-            f"lu_solve called on a factorization with {bad} singular "
-            "block(s); inspect LUFactors.info"
-        )
+    _require_ok(fac)
     _check_pair(fac, rhs)
     if variant == "blocked":
         return BatchedVectors(_blocked_solve(fac, rhs.data), rhs.sizes.copy())
@@ -310,3 +319,27 @@ def lu_solve(
         lower(A, b)
         upper(A, b)
     return BatchedVectors(b, rhs.sizes.copy())
+
+
+def lu_solve_many(fac: LUFactors, B: np.ndarray) -> np.ndarray:
+    """Blocked GETRS against ``k`` right-hand sides per block.
+
+    ``B`` is an AoS ``(nb, tile, k)`` array (column ``j`` of ``B[i]`` is
+    the ``j``-th right-hand side of block ``i``); the result has the same
+    shape.  It runs the ``"blocked"`` plan of :func:`lu_solve` with each
+    band step a batched GEMM, so solving against the identity yields
+    every block's inverse in ``2 ceil(tile / r)`` steps.
+
+    Raises
+    ------
+    ValueError
+        As :func:`lu_solve`, or if ``B`` does not match the batch.
+    """
+    _require_ok(fac)
+    if B.ndim != 3 or B.shape[:2] != (fac.nb, fac.tile):
+        raise ValueError(
+            f"right-hand sides {B.shape} do not match the batch "
+            f"({fac.nb}, {fac.tile}, k)"
+        )
+    return _blocked_solve(fac, B)
+

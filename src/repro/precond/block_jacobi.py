@@ -75,7 +75,7 @@ from ..core.batched_cholesky import cholesky_factor, cholesky_solve
 from ..core.batched_gauss_huard import gh_factor, gh_solve
 from ..core.batched_gauss_jordan import gj_apply, gj_invert
 from ..core.batched_lu import lu_factor
-from ..core.batched_trsv import lu_solve
+from ..core.batched_trsv import lu_solve, lu_solve_many
 from ..core.degradation import (
     SINGULAR_POLICIES,
     OnSingular,
@@ -475,22 +475,31 @@ class BlockJacobiPreconditioner(Preconditioner):
 
         The blocks are tiny (at most ``MAX_TILE`` rows), so
         ``||D_i^{-1}||_1`` is computed *exactly* by solving against all
-        ``tile`` unit vectors with the stored factorization - ``tile``
-        extra batched solves, the same order of work as the
-        factorization itself.  Substituted blocks report NaN: their
-        stored factor no longer represents the original block.
+        ``tile`` unit vectors with the stored factorization.  The direct
+        LU path does so in one blocked solve against the identity; the
+        other methods and the runtime run ``tile`` batched solves.
+        Substituted blocks report NaN: their stored factor no longer
+        represents the original block.
         """
         nb, tile = self.block_sizes.size, self._tile
-        invnorm1 = np.zeros(nb)
-        for j in range(tile):
-            e = np.zeros((nb, tile), dtype=self.dtype)
-            e[:, j] = 1.0
-            sol = self._solve_batch(
-                BatchedVectors(e, self.block_sizes.copy())
+        direct_lu = self._runtime is None and self._inverse is None
+        if direct_lu and self._effective_method == "lu":
+            eye = np.broadcast_to(
+                np.eye(tile, dtype=self.dtype), (nb, tile, tile)
             )
-            colsum = (np.abs(sol.data) * self._valid).sum(axis=1)
-            active = j < self.block_sizes
-            np.maximum(invnorm1, colsum, out=invnorm1, where=active)
+            sol = lu_solve_many(self._factor, eye)
+            colsum = (np.abs(sol) * self._valid[:, :, None]).sum(axis=1)
+        else:
+            colsum = np.zeros((nb, tile))
+            for j in range(tile):
+                e = np.zeros((nb, tile), dtype=self.dtype)
+                e[:, j] = 1.0
+                sol = self._solve_batch(
+                    BatchedVectors(e, self.block_sizes.copy())
+                )
+                colsum[:, j] = (np.abs(sol.data) * self._valid).sum(axis=1)
+        active = np.arange(tile) < self.block_sizes[:, None]
+        invnorm1 = np.where(active, colsum, 0.0).max(axis=1)
         cond = anorm1 * invnorm1
         cond[self.report.action != 0] = np.nan
         return cond

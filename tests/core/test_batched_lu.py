@@ -22,6 +22,12 @@ def pivoting(request):
     return request.param
 
 
+def _assert_same_factorization(a, b):
+    np.testing.assert_array_equal(a.soa, b.soa)
+    np.testing.assert_array_equal(a.perm, b.perm)
+    np.testing.assert_array_equal(a.info, b.info)
+
+
 class TestFactorizationCorrectness:
     def test_reconstruction_uniform(self, pivoting):
         b = random_batch(64, 16, kind="uniform", seed=1)
@@ -96,12 +102,31 @@ class TestImplicitVsExplicit:
 
     def test_same_factors_and_perm(self):
         b = random_batch(128, (1, 32), kind="uniform", seed=8)
+        _assert_same_factorization(
+            lu_factor(b, pivoting="implicit"), lu_factor(b, pivoting="explicit")
+        )
+
+    @pytest.mark.parametrize(
+        "nb, tile, zero_cols",
+        [(64, 8, True), (48, 32, True), (40, 16, False), (5, 1, False),
+         (0, 8, False)],
+        ids=["ties-8", "ties-32", "ties-16-no-zero-col", "tile-1", "nb-0"],
+    )
+    def test_bitwise_equal_to_explicit_on_ties(self, nb, tile, zero_cols):
+        # Rounded integers in [-2, 2] give many exact-magnitude ties and
+        # exact zeros; a zeroed column makes whole pivot columns vanish
+        # (info > 0).  Ties must break to the lowest original row in
+        # both cores, and every entry must match bit for bit.
+        rng = np.random.default_rng(tile * 100 + nb)
+        data = np.round(rng.uniform(-2.5, 2.5, (nb, tile, tile)))
+        if zero_cols:
+            data[np.arange(nb) % 4 == 0, :, tile // 2] = 0.0
+        b = BatchedMatrices(data, np.full(nb, tile))
         fi = lu_factor(b, pivoting="implicit")
         fe = lu_factor(b, pivoting="explicit")
-        np.testing.assert_array_equal(fi.perm, fe.perm)
-        np.testing.assert_allclose(
-            fi.factors.data, fe.factors.data, rtol=0, atol=1e-14
-        )
+        _assert_same_factorization(fi, fe)
+        if zero_cols and nb:
+            assert (fi.info[::4] > 0).all()
 
     def test_same_on_diag_dominant(self):
         b = random_batch(64, 24, kind="diag_dominant", seed=9, tile=32)
@@ -181,6 +206,15 @@ class TestOverwrite:
         orig = b.data.copy()
         lu_factor(b, overwrite=False)
         np.testing.assert_array_equal(b.data, orig)
+
+    @pytest.mark.parametrize("on_singular", [None, "shift"])
+    def test_no_overwrite_leaves_batch_untouched(self, pivoting, on_singular):
+        b = random_batch(12, (1, 16), kind="singular", seed=21)
+        orig, sizes = b.data.copy(), b.sizes.copy()
+        fac = lu_factor(b, pivoting=pivoting, on_singular=on_singular)
+        assert not np.shares_memory(fac.soa, b.data)
+        assert b.data.tobytes() == orig.tobytes()
+        np.testing.assert_array_equal(b.sizes, sizes)
 
     @pytest.mark.parametrize("pivoting", ["implicit", "explicit", "none"])
     def test_overwrite_keeps_factors_in_the_input_buffer(self, pivoting):

@@ -16,6 +16,7 @@ from repro.core import (
     random_rhs,
     upper_solve,
 )
+from repro.core.batched_trsv import lu_solve_many
 from repro.core.validation import max_relative_error, solve_residuals
 from tests.core.test_golden_fixtures import (
     CLEAN_POLICIES,
@@ -158,6 +159,40 @@ class TestGetrs:
         np.testing.assert_array_equal(
             lu_solve(fresh, random_rhs(b, seed=2), "blocked").data, x2.data
         )
+
+    def test_many_rhs_match_single_rhs_solves(self):
+        b = random_batch(20, (1, 32), kind="uniform", seed=11)
+        fac = lu_factor(b)
+        B = np.random.default_rng(3).uniform(-1, 1, (b.nb, b.tile, 3))
+        B *= np.arange(b.tile)[None, :, None] < b.sizes[:, None, None]
+        X = lu_solve_many(fac, B)
+        assert X.shape == B.shape
+        for j in range(B.shape[2]):
+            rhs = BatchedVectors(np.ascontiguousarray(B[:, :, j]), b.sizes)
+            x = lu_solve(fac, rhs, "blocked").data
+            np.testing.assert_allclose(X[:, :, j], x, rtol=1e-12, atol=1e-14)
+
+    def test_many_rhs_against_identity_is_the_inverse(self):
+        b = random_batch(16, (1, 16), kind="diag_dominant", seed=12)
+        eye = np.broadcast_to(np.eye(b.tile), (b.nb, b.tile, b.tile))
+        inv = lu_solve_many(lu_factor(b), eye)
+        for i in range(b.nb):
+            m = int(b.sizes[i])
+            np.testing.assert_allclose(
+                inv[i, :m, :m], np.linalg.inv(b.block(i)), rtol=1e-12,
+                atol=1e-14,
+            )
+
+    def test_many_rhs_refuses_bad_shape_and_singular(self):
+        b = random_batch(4, 8, kind="uniform", seed=13)
+        fac = lu_factor(b)
+        with pytest.raises(ValueError, match="do not match"):
+            lu_solve_many(fac, np.zeros((4, 8)))
+        with pytest.raises(ValueError, match="do not match"):
+            lu_solve_many(fac, np.zeros((3, 8, 2)))
+        bad = lu_factor(random_batch(4, 8, kind="singular", seed=14))
+        with pytest.raises(ValueError, match="singular"):
+            lu_solve_many(bad, np.zeros((4, 8, 2)))
 
 
 # -- eager/lazy equivalence properties (hypothesis) -------------------------
